@@ -76,27 +76,6 @@ def decompose(m: int, base: int) -> BaseDecomposition:
     return BaseDecomposition(base, tuple(terms))
 
 
-@dataclass(frozen=True)
-class CliqueTables:
-    """Edge counts and degrees of the cliques K_i nested inside K_arity.
-
-    ``edges[i]`` = i*(i-1)/2 edges of an i-clique; ``degrees[i]`` = i-1, its
-    regular degree, which is also edges[i] - edges[i-1].
-    """
-
-    arity: int
-    edges: tuple[int, ...]
-    degrees: tuple[int, ...]
-
-
-def clique_tables(arity: int) -> CliqueTables:
-    if arity < 2:
-        raise DomainError(f"arity must be >= 2, got {arity}")
-    edges = tuple(i * (i - 1) // 2 for i in range(arity + 1))
-    degrees = (0,) + tuple(i - 1 for i in range(1, arity + 1))
-    return CliqueTables(arity, edges, degrees)
-
-
 def max_degree_sum(m: int, params: HammingParams) -> int:
     """Twice the maximum edge count over all m-vertex induced subgraphs.
 

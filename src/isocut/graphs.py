@@ -89,19 +89,6 @@ def decode(digits: Sequence[int], params: HammingParams) -> int:
     return value
 
 
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """-1/0/1 ordering of two digit strings, most significant digit first.
-
-    Equals the integer comparison of the decoded values.
-    """
-    if len(a) != len(b):
-        raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    ta, tb = tuple(a), tuple(b)
-    if ta < tb:
-        return -1
-    return 1 if ta > tb else 0
-
-
 def format_digits(digits: Sequence[int], arity: int) -> str:
     """Compact string form: '0021' when digits fit one character each."""
     if arity <= 10:

@@ -6,31 +6,44 @@ or idea with the formula side. Working notes on the engines:
 
 * Subsets are Python int bitmasks; ``int.bit_count`` does the counting work,
   so the same code covers <= 128 vertices and beyond without a special path.
-* Fixed-size minima with no connectivity constraint walk index-increasing
-  combinations depth-first. That order IS lexicographic order of the sorted
-  vertex tuples, so keeping the first optimum seen yields the canonical
-  (lexicographically least) witness for free.
-* Connectivity-constrained minima use grow-from-least-vertex expansion:
-  every connected set is produced exactly once, rooted at its smallest
-  vertex. Growth order is not lexicographic, so ties are broken by explicit
-  sorted-tuple comparison (bitmask integer comparison would be wrong:
-  {1,2} -> 6 beats {0,3} -> 9 numerically but loses lexicographically).
-* Conditional connectivity enumerates connected sides up to half the graph
-  and gates the expensive checks (complement connectivity, side predicates)
-  behind the current best cut.
+* There are two enumerators. The fixed-size scan (minima with no
+  connectivity constraint) walks index-increasing combinations depth-first.
+  That order IS lexicographic order of the sorted vertex tuples, so keeping
+  the first optimum seen yields the canonical (lexicographically least)
+  witness for free.
+* Rooted growth (connected sets) is grow-from-least-vertex expansion in the
+  style of ESU (Wernicke 2006): every connected set is produced exactly
+  once, rooted at its smallest vertex. It hands each state
+  ``(mask, size, cut, internal)`` to a visitor: the profile visitor keeps
+  per-size minima (set-connected and both-sides-connected), the cut visitor
+  keeps the best qualifying bipartition for conditional connectivity and
+  gates its expensive checks (complement connectivity, side predicates)
+  behind the current best cut. Growth order is not lexicographic, so ties
+  are broken by explicit sorted-tuple comparison (bitmask integer
+  comparison would be wrong: {1,2} -> 6 beats {0,3} -> 9 numerically but
+  loses lexicographically).
+* Both enumerators split their work into tasks that go through one runner,
+  in-process or over a process pool. Results come back in task order and
+  are combined with a deterministic min-reduction, so parallel results
+  match serial ones bit for bit. Worker state and side predicates are
+  module-level and picklable, so workers run under every start method
+  (fork, spawn, forkserver).
+* ``OracleBudget.max_subsets`` caps the total state count of one
+  enumeration: the runner sums the states of the tasks as their results
+  arrive, and every task stops once it alone would exceed what is left.
 * The two-part property check peels unordered partitions part by part, each
   part containing the least unassigned vertex, pruned by a cut budget at
-  every part completion.
-* Parallel runs split the same task lists over a process pool and combine
-  with a deterministic min-reduction, so chunked results match serial ones
-  bit for bit.
+  every part completion. It streams the candidate parts rather than listing
+  them.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from multiprocessing import get_context
 
@@ -63,10 +76,10 @@ __all__ = [
 class OracleBudget:
     """Caps on enumeration size.
 
-    max_subsets is a global cap on visited states; parallel runs split it
-    evenly across chunks, erring on the conservative side. max_vertices
-    bounds |V| of any graph handed to the oracle. parallel_chunks is the
-    process count (1 = in-process serial).
+    max_subsets caps the total number of states one enumeration visits;
+    SubsetBudgetError is raised iff that total exceeds it, serial or
+    parallel. max_vertices bounds |V| of any graph handed to the oracle.
+    parallel_chunks is the process count (1 = in-process serial).
     """
 
     max_subsets: int = 200_000_000
@@ -76,9 +89,6 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if self.max_subsets < 1 or self.max_vertices < 1 or self.parallel_chunks < 1:
             raise DomainError("budget fields must be positive")
-
-    def per_chunk_cap(self) -> int:
-        return max(1, self.max_subsets // self.parallel_chunks)
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -122,11 +132,9 @@ def _bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_connected(mask: int, masks: tuple[int, ...]) -> bool:
-    if mask == 0:
-        return False
-    seen = mask & -mask
-    frontier = seen
+def _component(seed: int, mask: int, masks: tuple[int, ...]) -> int:
+    """The vertices of `mask` reachable from `seed` (bits of mask) inside it."""
+    comp = frontier = seed
     while frontier:
         grown = 0
         rest = frontier
@@ -134,9 +142,13 @@ def _mask_connected(mask: int, masks: tuple[int, ...]) -> bool:
             low = rest & -rest
             rest ^= low
             grown |= masks[low.bit_length() - 1]
-        frontier = grown & mask & ~seen
-        seen |= frontier
-    return seen == mask
+        frontier = grown & mask & ~comp
+        comp |= frontier
+    return comp
+
+
+def _mask_connected(mask: int, masks: tuple[int, ...]) -> bool:
+    return mask != 0 and _component(mask & -mask, mask, masks) == mask
 
 
 def _require_oracle_scale(graph: Graph, budget: OracleBudget) -> None:
@@ -147,24 +159,71 @@ def _require_oracle_scale(graph: Graph, budget: OracleBudget) -> None:
         )
 
 
-# --- engine: fixed-size scan, no connectivity --------------------------------
+# --- task runner --------------------------------------------------------------
 #
-# Worker state lives in module globals (set by the pool initializer or, for
-# serial runs, directly) so tasks stay cheap to ship.
+# Worker state lives in a module global (set by the pool initializer or, for
+# serial runs, directly) so tasks stay cheap to ship. A task is a module-level
+# function task(item, cap) -> (result, visited) that raises SubsetBudgetError
+# once it alone visits more than cap states.
 
 _W: dict = {}
 
 
-def _scan_init(masks, degrees, max_m, cap):
-    _W["masks"] = masks
-    _W["degrees"] = degrees
-    _W["max_m"] = max_m
-    _W["cap"] = cap
-    _W["n"] = len(masks)
+def _load_state(state: dict) -> None:
+    _W.clear()
+    _W.update(state)
 
 
-def _beta_task(pair):
-    """All subsets whose two smallest elements are `pair`, sizes 2..max_m."""
+def _apply(args):
+    task, item, cap = args
+    return task(item, cap)
+
+
+def _run_tasks(task, state: dict, items: list, budget: OracleBudget, visited: int):
+    """Results of task over items, in order, and visited plus their states.
+
+    Raises SubsetBudgetError as soon as the running state total exceeds
+    budget.max_subsets. A serial task is capped at what is left of the
+    budget, a parallel one at what was left before the first task, so the
+    error is raised iff the total exceeds the cap in both modes.
+    """
+    cap = budget.max_subsets
+    if visited > cap:
+        raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
+    workers = budget.parallel_chunks if items else 1
+    results = []
+    with (
+        get_context().Pool(workers, initializer=_load_state, initargs=(state,))
+        if workers > 1
+        else nullcontext()
+    ) as pool:
+        if pool is None:
+            _load_state(state)
+            # the generator reads `visited` lazily, after the previous result
+            outcomes = (task(i, cap - visited) for i in items)
+        else:
+            # about eight chunks per worker: each result costs a round trip,
+            # and the heavy tasks (small roots) come first
+            chunksize = max(1, len(items) // (8 * workers))
+            outcomes = pool.imap(
+                _apply, [(task, i, cap - visited) for i in items], chunksize
+            )
+        for result, count in outcomes:
+            visited += count
+            if visited > cap:
+                raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
+            results.append(result)
+    return results, visited
+
+
+# --- engine: fixed-size scan, no connectivity --------------------------------
+
+def _beta_task(pair, cap):
+    """All subsets whose two smallest elements are `pair`, sizes 2..max_m.
+
+    The caller checks the whole scan against the budget up front, so cap is
+    never reached here.
+    """
     v0, v1 = pair
     masks = _W["masks"]
     degrees = _W["degrees"]
@@ -175,9 +234,8 @@ def _beta_task(pair):
 
     start_mask = (1 << v0) | (1 << v1)
     start_cut = degrees[v0] + degrees[v1] - 2 * ((masks[v0] >> v1) & 1)
-    if best_cut[2] is None or start_cut < best_cut[2]:
-        best_cut[2] = start_cut
-        best_mask[2] = start_mask
+    best_cut[2] = start_cut
+    best_mask[2] = start_mask
 
     def rec(start: int, mask: int, size: int, cut: int) -> None:
         nsize = size + 1
@@ -195,7 +253,9 @@ def _beta_task(pair):
 
     if max_m > 2:
         rec(v1 + 1, start_mask, 2, start_cut)
-    return best_cut, best_mask
+    above = n - 1 - v1
+    visited = sum(math.comb(above, k) for k in range(max_m - 1))
+    return (best_cut, best_mask), visited
 
 
 def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
@@ -220,67 +280,106 @@ def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
             best_cut[1] = degrees[v]
             best_mask[1] = 1 << v
 
-    if max_m >= 2:
-        tasks = list(combinations(range(n), 2))
-        if budget.parallel_chunks > 1:
-            ctx = get_context()
-            with ctx.Pool(
-                budget.parallel_chunks,
-                initializer=_scan_init,
-                initargs=(masks, degrees, max_m, budget.per_chunk_cap()),
-            ) as pool:
-                results = pool.map(_beta_task, tasks, chunksize=8)
-        else:
-            _scan_init(masks, degrees, max_m, budget.per_chunk_cap())
-            results = [_beta_task(t) for t in tasks]
-        # tasks are in lexicographic block order, so strict improvement
-        # keeps the earliest (least) witness on ties
-        for cuts, witnesses in results:
-            for size in range(2, max_m + 1):
-                if cuts[size] is not None and (
-                    best_cut[size] is None or cuts[size] < best_cut[size]
-                ):
-                    best_cut[size] = cuts[size]
-                    best_mask[size] = witnesses[size]
+    tasks = list(combinations(range(n), 2)) if max_m >= 2 else []
+    state = {"masks": masks, "degrees": degrees, "max_m": max_m, "n": n}
+    results, visited = _run_tasks(_beta_task, state, tasks, budget, n)
+    # tasks are in lexicographic block order, so strict improvement keeps the
+    # earliest (least) witness on ties
+    for cuts, witnesses in results:
+        for size in range(2, max_m + 1):
+            if cuts[size] is not None and (
+                best_cut[size] is None or cuts[size] < best_cut[size]
+            ):
+                best_cut[size] = cuts[size]
+                best_mask[size] = witnesses[size]
 
     out = []
     for size in range(1, max_m + 1):
         out.append((best_cut[size], _bits_tuple(best_mask[size])))
-    return out, total
+    return out, visited
 
 
-# --- engine: connected growth -------------------------------------------------
+# --- engine: rooted growth ----------------------------------------------------
 
-def _connected_init(masks, degrees, max_m, cap, full_mask, want_bilateral):
-    _W["masks"] = masks
-    _W["degrees"] = degrees
-    _W["max_m"] = max_m
-    _W["cap"] = cap
-    _W["full"] = full_mask
-    _W["bilateral"] = want_bilateral
+def _growth_tasks(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """One (root, ext_index) task per edge from a root to a larger vertex."""
+    return [
+        (root, j)
+        for root in range(len(masks))
+        for j in range((masks[root] >> (root + 1)).bit_count())
+    ]
 
 
-def _connected_task(args):
+def _grow_task(item, cap):
     """Grow connected sets containing root whose first extension is fixed.
 
-    Covers every connected set S with min(S) = root, |S| >= 2, whose
-    smallest-ordered extension choice at the top level is `ext_index`.
-    Returns per-size ((cut, witness) for set-connected, same for
-    both-sides-connected, visited count).
+    Covers every connected set S with min(S) = root, 2 <= |S| <= max_m,
+    whose extension choice at the top level is the `ext_index`-th neighbour
+    of root above it, and passes each to the visitor built by the state's
+    visitor factory. Returns (the visitor's partial result, visited).
     """
-    root, ext_index = args
+    root, ext_index = item
     masks = _W["masks"]
     degrees = _W["degrees"]
     max_m = _W["max_m"]
-    cap = _W["cap"]
-    full = _W["full"]
-    bilateral = _W["bilateral"]
-
-    best_e: list = [None] * (max_m + 1)
-    best_b: list = [None] * (max_m + 1)
+    visit, finish = _W["visitor"](_W)
     visited = 0
 
-    def record(mask: int, size: int, cut: int) -> None:
+    def grow(mask, ext, seen, size, cut, internal):
+        nonlocal visited
+        visited += 1
+        if visited > cap:
+            raise SubsetBudgetError(
+                f"rooted growth exceeded the {cap} states left in the budget"
+            )
+        visit(mask, size, cut, internal)
+        if size == max_m:
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            common = (masks[v] & mask).bit_count()
+            fresh = masks[v] & ~seen
+            grow(
+                mask | low,
+                ext | fresh,
+                seen | fresh,
+                size + 1,
+                cut + degrees[v] - 2 * common,
+                internal + common,
+            )
+
+    low_mask = (1 << (root + 1)) - 1
+    ext0 = masks[root] & ~low_mask
+    seen0 = low_mask | ext0
+    remaining = ext0
+    for _ in range(ext_index + 1):
+        chosen = remaining & -remaining
+        remaining ^= chosen
+    v = chosen.bit_length() - 1
+    fresh = masks[v] & ~seen0
+    grow(
+        (1 << root) | chosen,
+        remaining | fresh,
+        seen0 | fresh,
+        2,
+        degrees[root] + degrees[v] - 2,
+        1,
+    )
+    return finish(), visited
+
+
+def _profile_visitor(state: dict):
+    """Per-size (cut, witness) minima over connected sets, and over those
+    whose complement is connected too when state['bilateral'] is set."""
+    masks = state["masks"]
+    full = state["full"]
+    bilateral = state["bilateral"]
+    best_e: list = [None] * (state["max_m"] + 1)
+    best_b: list = [None] * (state["max_m"] + 1)
+
+    def visit(mask: int, size: int, cut: int, internal: int) -> None:
         entry = best_e[size]
         if entry is None or cut < entry[0]:
             best_e[size] = (cut, _bits_tuple(mask))
@@ -299,52 +398,7 @@ def _connected_task(args):
         if _mask_connected(full & ~mask, masks):
             best_b[size] = (cut, witness)
 
-    def grow(mask: int, ext: int, seen: int, size: int, cut: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > cap:
-            raise SubsetBudgetError(
-                f"connected enumeration exceeded {cap} states in one chunk"
-            )
-        record(mask, size, cut)
-        if size == max_m:
-            return
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            fresh = masks[v] & ~seen
-            grow(
-                mask | low,
-                ext | fresh,
-                seen | fresh,
-                size + 1,
-                cut + degrees[v] - 2 * (masks[v] & mask).bit_count(),
-            )
-
-    low_mask = (1 << (root + 1)) - 1
-    ext0 = masks[root] & ~low_mask
-    seen0 = low_mask | ext0
-    choices = []
-    probe = ext0
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        choices.append(low)
-    chosen = choices[ext_index]
-    v = chosen.bit_length() - 1
-    remaining = ext0
-    for skipped in choices[: ext_index + 1]:
-        remaining ^= skipped
-    fresh = masks[v] & ~seen0
-    grow(
-        (1 << root) | chosen,
-        remaining | fresh,
-        seen0 | fresh,
-        2,
-        degrees[root] + degrees[v] - 2,
-    )
-    return best_e, best_b, visited
+    return visit, lambda: (best_e, best_b)
 
 
 def _merge_profiles(best, extra):
@@ -374,27 +428,19 @@ def _connected_profile(graph: Graph, max_m: int, budget: OracleBudget, bilateral
             if best_b[1] is None or entry < best_b[1]:
                 best_b[1] = entry
 
-    tasks = [
-        (root, j)
-        for root in range(n)
-        for j in range(bin(masks[root] >> (root + 1)).count("1"))
-    ]
-    visited = n
-    if max_m >= 2 and tasks:
-        init = (masks, degrees, max_m, budget.per_chunk_cap(), full, bilateral)
-        if budget.parallel_chunks > 1:
-            ctx = get_context()
-            with ctx.Pool(
-                budget.parallel_chunks, initializer=_connected_init, initargs=init
-            ) as pool:
-                results = pool.map(_connected_task, tasks, chunksize=1)
-        else:
-            _connected_init(*init)
-            results = [_connected_task(t) for t in tasks]
-        for te, tb, tv in results:
-            _merge_profiles(best_e, te)
-            _merge_profiles(best_b, tb)
-            visited += tv
+    tasks = _growth_tasks(masks) if max_m >= 2 else []
+    state = {
+        "masks": masks,
+        "degrees": degrees,
+        "max_m": max_m,
+        "visitor": _profile_visitor,
+        "full": full,
+        "bilateral": bilateral,
+    }
+    results, visited = _run_tasks(_grow_task, state, tasks, budget, n)
+    for te, tb in results:
+        _merge_profiles(best_e, te)
+        _merge_profiles(best_b, tb)
     return best_e[1:], best_b[1:], visited
 
 
@@ -501,60 +547,63 @@ def _axis_sublayer_masks(params: HammingParams, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Side predicates take (mask, size, internal_edges) of one side of a cut.
+# They are module-level functions bound with functools.partial, so they
+# pickle into pool workers under any start method.
+
+def _min_size(value: int, mask: int, size: int, internal: int) -> bool:
+    return size >= value
+
+
+def _average_degree(value: int, mask: int, size: int, internal: int) -> bool:
+    return 2 * internal >= value * size
+
+
+def _min_degree(masks, value: int, mask: int, size: int, internal: int) -> bool:
+    probe = mask
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        if (masks[low.bit_length() - 1] & mask).bit_count() < value:
+            return False
+    return True
+
+
+def _has_cycle(masks, mask: int, size: int, internal: int) -> bool:
+    # a connected side is non-forest iff it has >= |side| edges; for the
+    # general (possibly disconnected) case check per component
+    if internal >= size and _mask_connected(mask, masks):
+        return True
+    remaining = mask
+    while remaining:
+        comp = _component(remaining & -remaining, remaining, masks)
+        edges = 0
+        probe = comp
+        while probe:
+            low = probe & -probe
+            probe ^= low
+            edges += (masks[low.bit_length() - 1] & comp).bit_count()
+        if edges // 2 >= comp.bit_count():
+            return True
+        remaining &= ~comp
+    return False
+
+
+def _contains_layer(layers, mask: int, size: int, internal: int) -> bool:
+    return any(mask & layer == layer for layer in layers)
+
+
 def _side_predicate(cond: ConditionKind, params: HammingParams | None, graph: Graph):
     """Build pred(mask, size, internal_edges) for one side of a cut."""
     kind, value = cond.kind, cond.value
     if kind in ("extra", "isoperimetric"):
-        return lambda mask, size, internal: size >= value
+        return partial(_min_size, value)
     if kind == "cyclic":
-        # a connected side is non-forest iff it has >= |side| edges; for the
-        # general (possibly disconnected) case check per component
-        masks = graph.neighbor_masks
-
-        def has_cycle(mask: int, size: int, internal: int) -> bool:
-            if internal >= size and _mask_connected(mask, masks):
-                return True
-            remaining = mask
-            while remaining:
-                seed = remaining & -remaining
-                comp = seed
-                frontier = seed
-                while frontier:
-                    grown = 0
-                    rest = frontier
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        grown |= masks[low.bit_length() - 1]
-                    frontier = grown & remaining & ~comp
-                    comp |= frontier
-                edges = 0
-                probe = comp
-                while probe:
-                    low = probe & -probe
-                    probe ^= low
-                    edges += (masks[low.bit_length() - 1] & comp).bit_count()
-                if edges // 2 >= comp.bit_count():
-                    return True
-                remaining &= ~comp
-            return False
-
-        return has_cycle
+        return partial(_has_cycle, graph.neighbor_masks)
     if kind == "super":
-        masks = graph.neighbor_masks
-
-        def min_degree_ok(mask: int, size: int, internal: int) -> bool:
-            probe = mask
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                if (masks[low.bit_length() - 1] & mask).bit_count() < value:
-                    return False
-            return True
-
-        return min_degree_ok
+        return partial(_min_degree, graph.neighbor_masks, value)
     if kind == "average":
-        return lambda mask, size, internal: 2 * internal >= value * size
+        return partial(_average_degree, value)
     if kind == "embedded":
         if params is None or graph.label != f"hamming({params.arity},{params.dim})":
             raise UnsupportedError(
@@ -566,44 +615,22 @@ def _side_predicate(cond: ConditionKind, params: HammingParams | None, graph: Gr
                 f"embedded dimension must be in [0, {params.dim - 1}], got {value}"
             )
         if value == 0:
-            return lambda mask, size, internal: size >= 1
-        layers = _axis_sublayer_masks(params, value)
-        return lambda mask, size, internal: any(
-            mask & layer == layer for layer in layers
-        )
+            return partial(_min_size, 1)
+        return partial(_contains_layer, _axis_sublayer_masks(params, value))
     raise DomainError(f"unknown condition kind {kind!r}")
 
 
-def _conditional_init(masks, degrees, max_m, cap, full_mask, pred, total_edges):
-    _W["masks"] = masks
-    _W["degrees"] = degrees
-    _W["max_m"] = max_m
-    _W["cap"] = cap
-    _W["full"] = full_mask
-    _W["pred"] = pred
-    _W["edges"] = total_edges
-
-
-def _conditional_task(args):
-    """Best qualifying bipartition among connected sides rooted as given.
-
-    Returns ((cut, witness, atom), visited) with the first element None when
-    nothing qualified in this chunk.
-    """
-    root, ext_index = args
-    masks = _W["masks"]
-    degrees = _W["degrees"]
-    max_m = _W["max_m"]
-    cap = _W["cap"]
-    full = _W["full"]
-    pred = _W["pred"]
-    total_edges = _W["edges"]
+def _cut_visitor(state: dict):
+    """Best qualifying bipartition (cut, witness, atom) among the visited
+    sides, or None when nothing qualified."""
+    masks = state["masks"]
+    full = state["full"]
+    pred = state["pred"]
+    total_edges = state["edges"]
     n = full.bit_count()
-
     best = None  # (cut, witness_tuple, atom_size)
-    visited = 0
 
-    def consider(mask: int, size: int, cut: int, internal: int) -> None:
+    def visit(mask: int, size: int, cut: int, internal: int) -> None:
         nonlocal best
         if best is not None and cut > best[0]:
             return
@@ -627,55 +654,7 @@ def _conditional_task(args):
         else:
             best = (cut, min(witness, best[1]), min(size, best[2]))
 
-    def grow(mask, ext, seen, size, cut, internal):
-        nonlocal visited
-        visited += 1
-        if visited > cap:
-            raise SubsetBudgetError(
-                f"conditional enumeration exceeded {cap} states in one chunk"
-            )
-        consider(mask, size, cut, internal)
-        if size == max_m:
-            return
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            common = (masks[v] & mask).bit_count()
-            fresh = masks[v] & ~seen
-            grow(
-                mask | low,
-                ext | fresh,
-                seen | fresh,
-                size + 1,
-                cut + degrees[v] - 2 * common,
-                internal + common,
-            )
-
-    low_mask = (1 << (root + 1)) - 1
-    ext0 = masks[root] & ~low_mask
-    seen0 = low_mask | ext0
-    choices = []
-    probe = ext0
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        choices.append(low)
-    chosen = choices[ext_index]
-    v = chosen.bit_length() - 1
-    remaining = ext0
-    for skipped in choices[: ext_index + 1]:
-        remaining ^= skipped
-    fresh = masks[v] & ~seen0
-    grow(
-        (1 << root) | chosen,
-        remaining | fresh,
-        seen0 | fresh,
-        2,
-        degrees[root] + degrees[v] - 2,
-        1,
-    )
-    return best, visited
+    return visit, lambda: best
 
 
 def brute_conditional(
@@ -721,7 +700,6 @@ def brute_conditional(
     full = (1 << n) - 1
 
     best = None  # (cut, witness, atom)
-    visited = 0
     # singleton sides; v ascends, so on equal cut the earlier (lesser) witness
     # is already in place and every atom here is 1
     for v in range(n):
@@ -733,40 +711,25 @@ def brute_conditional(
             continue
         if best is None or degrees[v] < best[0]:
             best = (degrees[v], (v,), 1)
-    visited += n
 
-    tasks = [
-        (root, j)
-        for root in range(n)
-        for j in range(bin(masks[root] >> (root + 1)).count("1"))
-    ]
-    if half >= 2 and tasks:
-        init = (
-            masks,
-            degrees,
-            half,
-            budget.per_chunk_cap(),
-            full,
-            pred,
-            graph.edge_count,
-        )
-        if budget.parallel_chunks > 1:
-            ctx = get_context()
-            with ctx.Pool(
-                budget.parallel_chunks, initializer=_conditional_init, initargs=init
-            ) as pool:
-                results = pool.map(_conditional_task, tasks, chunksize=1)
-        else:
-            _conditional_init(*init)
-            results = [_conditional_task(t) for t in tasks]
-        for entry, tv in results:
-            visited += tv
-            if entry is None:
-                continue
-            if best is None or entry[0] < best[0]:
-                best = entry
-            elif entry[0] == best[0]:
-                best = (best[0], min(entry[1], best[1]), min(entry[2], best[2]))
+    tasks = _growth_tasks(masks) if half >= 2 else []
+    state = {
+        "masks": masks,
+        "degrees": degrees,
+        "max_m": half,
+        "visitor": _cut_visitor,
+        "full": full,
+        "pred": pred,
+        "edges": graph.edge_count,
+    }
+    results, visited = _run_tasks(_grow_task, state, tasks, budget, n)
+    for entry in results:
+        if entry is None:
+            continue
+        if best is None or entry[0] < best[0]:
+            best = entry
+        elif entry[0] == best[0]:
+            best = (best[0], min(entry[1], best[1]), min(entry[2], best[2]))
     if best is None:
         raise InfeasibleError(
             f"no bipartition of {graph.label} satisfies {cond.describe()}"
@@ -806,67 +769,58 @@ def _partition_minima(
     """
     masks = graph.neighbor_masks
     n = graph.vertex_count
-    state = {"visited": 0, "best": None, "zs": set(), "hits": 0}
+    visited = 0
+    best = None
+    zs: set[int] = set()
+    hits = 0
 
-    def subsets_with_root(pool_mask: int):
-        """Every subset of pool containing its least vertex, with its cross
-        edge count into the rest of the pool."""
+    def peel(pool_mask: int, acc_cut: int, parts: int) -> None:
+        nonlocal best, zs, hits
+        if pool_mask == 0:
+            if parts >= 2:
+                if best is None or acc_cut < best:
+                    best, zs, hits = acc_cut, {parts}, 1
+                elif acc_cut == best:
+                    zs.add(parts)
+                    hits += 1
+            return
+        # every subset of the pool containing its least vertex, streamed
+        # with its cross edge count into the rest of the pool
         root = pool_mask & -pool_mask
-        rest_bits = []
-        probe = pool_mask ^ root
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            rest_bits.append(low.bit_length() - 1)
-        root_v = root.bit_length() - 1
-        root_deg = (masks[root_v] & pool_mask).bit_count()
-        out = []
+        rest_bits = _bits_tuple(pool_mask ^ root)
+        last = len(rest_bits)
 
         def rec(i: int, mask: int, degsum: int, internal: int) -> None:
-            if i == len(rest_bits):
-                state["visited"] += 1
-                if state["visited"] > state_cap:
+            nonlocal visited
+            if i == last:
+                visited += 1
+                if visited > state_cap:
                     raise SubsetBudgetError(
                         f"partition scan exceeded {state_cap} states"
                     )
-                out.append((mask, internal, degsum - 2 * internal))
+                cross = degsum - 2 * internal
+                if acc_cut + cross > cut_budget:
+                    return
+                if connected_parts and not _mask_connected(mask, masks):
+                    return
+                if not part_ok(mask, mask.bit_count(), internal):
+                    return
+                peel(pool_mask & ~mask, acc_cut + cross, parts + 1)
                 return
             rec(i + 1, mask, degsum, internal)
             v = rest_bits[i]
-            common = (masks[v] & mask).bit_count()
             rec(
                 i + 1,
                 mask | (1 << v),
                 degsum + (masks[v] & pool_mask).bit_count(),
-                internal + common,
+                internal + (masks[v] & mask).bit_count(),
             )
 
+        root_deg = (masks[root.bit_length() - 1] & pool_mask).bit_count()
         rec(0, root, root_deg, 0)
-        return out
-
-    def peel(pool_mask: int, acc_cut: int, parts: int) -> None:
-        if pool_mask == 0:
-            if parts >= 2:
-                if state["best"] is None or acc_cut < state["best"]:
-                    state["best"] = acc_cut
-                    state["zs"] = {parts}
-                    state["hits"] = 1
-                elif acc_cut == state["best"]:
-                    state["zs"].add(parts)
-                    state["hits"] += 1
-            return
-        for mask, internal, cross in subsets_with_root(pool_mask):
-            if acc_cut + cross > cut_budget:
-                continue
-            size = mask.bit_count()
-            if connected_parts and not _mask_connected(mask, masks):
-                continue
-            if not part_ok(mask, size, internal):
-                continue
-            peel(pool_mask & ~mask, acc_cut + cross, parts + 1)
 
     peel((1 << n) - 1, 0, 0)
-    return state["best"], state["zs"], state["hits"]
+    return best, zs, hits
 
 
 def bipartite_property_check(
@@ -883,14 +837,12 @@ def bipartite_property_check(
     property holds iff no multi-part partition beats or ties it.
     """
     base = brute_conditional(graph, cond, params=params, budget=budget)
-    if cond.kind == "isoperimetric":
-        part_ok = lambda mask, size, internal: size >= cond.value
-        connected_parts = False
-    else:
-        part_ok = _side_predicate(cond, params, graph)
-        connected_parts = True
     minimum, zs, _ = _partition_minima(
-        graph, part_ok, base.optimum, connected_parts, budget.max_subsets
+        graph,
+        _side_predicate(cond, params, graph),
+        base.optimum,
+        cond.kind != "isoperimetric",
+        budget.max_subsets,
     )
     if minimum is None or minimum > base.optimum:
         raise VerificationError(

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from isocut.closedform import (
     ConditionKind,
-    clique_tables,
     conditional_connectivity,
     decompose,
     degree_sum_split,
@@ -67,18 +66,6 @@ class TestDecompose:
     def test_domain(self, m, base):
         with pytest.raises(DomainError):
             decompose(m, base)
-
-
-class TestCliqueTables:
-    def test_values(self):
-        t = clique_tables(5)
-        assert t.edges == (0, 0, 1, 3, 6, 10)
-        assert t.degrees == (0, 0, 1, 2, 3, 4)
-
-    def test_degree_is_edge_increment(self):
-        t = clique_tables(9)
-        for i in range(1, 10):
-            assert t.degrees[i] == t.edges[i] - t.edges[i - 1]
 
 
 class TestBoundaryFormula:

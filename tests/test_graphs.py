@@ -16,7 +16,6 @@ from isocut.graphs import (
     format_digits,
     format_edge_list,
     hamming_graph,
-    lex_compare,
     parse_edge_list,
     read_edge_list,
     write_edge_list,
@@ -60,12 +59,6 @@ class TestCodec:
     def test_encode_is_big_endian(self):
         p = HammingParams(10, 3)
         assert encode(247, p) == (2, 4, 7)
-
-    def test_lex_compare_matches_tuples(self):
-        p = HammingParams(3, 3)
-        for a, b in itertools.product(range(8), repeat=2):
-            da, db = encode(a, p), encode(b, p)
-            assert lex_compare(da, db) == (da > db) - (da < db)
 
     def test_format_digits(self):
         assert format_digits((0, 2, 1), 3) == "021"

@@ -7,6 +7,7 @@ by the lexicographically least sorted vertex tuple.
 """
 
 import itertools
+import multiprocessing
 
 import pytest
 
@@ -179,26 +180,62 @@ class TestWrapperFunctions:
             brute_min_boundary(graph, 5)  # above half
 
 
+def _conditional_cell(arity, dim, cond):
+    def run(budget):
+        p = HammingParams(arity, dim)
+        r = brute_conditional(hamming_graph(p), cond, params=p, budget=budget)
+        return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
+
+    return run
+
+
+DETERMINISM_CELLS = [
+    (
+        "bilateral-q4",
+        lambda b: brute_boundary_profile(
+            hamming_graph(HammingParams(2, 4)), 8, mode="bilateral", budget=b
+        ),
+        4,
+    ),
+    (
+        "any-k32",
+        lambda b: brute_boundary_profile(
+            hamming_graph(HammingParams(3, 2)), 4, mode="any", budget=b
+        ),
+        3,
+    ),
+    ("cyclic-q4", _conditional_cell(2, 4, ConditionKind.cyclic()), 2),
+    ("super-k32", _conditional_cell(3, 2, ConditionKind.super_degree(2)), 2),
+    ("embedded1-q3", _conditional_cell(2, 3, ConditionKind.embedded(1)), 2),
+]
+
+
+@pytest.fixture(params=multiprocessing.get_all_start_methods())
+def start_method(request):
+    saved = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield
+    multiprocessing.set_start_method(saved, force=True)
+
+
 class TestDeterminism:
-    def test_serial_equals_parallel(self):
-        graph = hamming_graph(HammingParams(2, 4))
-        serial = brute_boundary_profile(
-            graph, 8, mode="bilateral", budget=OracleBudget(parallel_chunks=1)
-        )
-        parallel = brute_boundary_profile(
-            graph, 8, mode="bilateral", budget=OracleBudget(parallel_chunks=4)
-        )
+    @pytest.mark.parametrize(
+        "run,chunks",
+        [cell[1:] for cell in DETERMINISM_CELLS],
+        ids=[cell[0] for cell in DETERMINISM_CELLS],
+    )
+    def test_serial_equals_parallel(self, start_method, run, chunks):
+        serial = run(OracleBudget(parallel_chunks=1))
+        parallel = run(OracleBudget(parallel_chunks=chunks))
         assert serial == parallel
 
-    def test_serial_equals_parallel_any_mode(self):
-        graph = hamming_graph(HammingParams(3, 2))
-        serial = brute_boundary_profile(
-            graph, 4, mode="any", budget=OracleBudget(parallel_chunks=1)
-        )
-        parallel = brute_boundary_profile(
-            graph, 4, mode="any", budget=OracleBudget(parallel_chunks=3)
-        )
-        assert serial == parallel
+
+def connected_q4(max_subsets, chunks=1):
+    return brute_min_boundary_connected(
+        hamming_graph(HammingParams(2, 4)),
+        8,
+        budget=OracleBudget(max_subsets=max_subsets, parallel_chunks=chunks),
+    )
 
 
 class TestBudgets:
@@ -216,6 +253,21 @@ class TestBudgets:
         graph = hamming_graph(HammingParams(2, 4))
         with pytest.raises(SubsetBudgetError):
             brute_min_boundary_connected(graph, 8, budget=OracleBudget(max_subsets=40))
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_cap_is_global(self, chunks):
+        # the scan visits about three times this many states in all, but no
+        # single (root, first extension) task does
+        with pytest.raises(SubsetBudgetError):
+            connected_q4(5000, chunks)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_cap_at_exact_state_count(self, chunks):
+        exact = 14744
+        assert connected_q4(OracleBudget().max_subsets).subsets_visited == exact
+        assert connected_q4(exact, chunks).subsets_visited == exact
+        with pytest.raises(SubsetBudgetError):
+            connected_q4(exact - 1, chunks)
 
 
 class TestConditionalOracle:
