@@ -12,7 +12,6 @@ from .closedform import (
     conditional_connectivity,
     decompose,
     degree_sum_split,
-    extra_connectivity_scan,
     max_degree_sum,
     min_boundary_binary,
     min_boundary_ternary,
@@ -36,7 +35,6 @@ from .errors import (
     DomainError,
     InfeasibleError,
     IsocutError,
-    ScanBudgetError,
     SubsetBudgetError,
     UnsupportedError,
     VerificationError,
@@ -81,7 +79,6 @@ __all__ = [
     "InfeasibleError",
     "IsocutError",
     "OracleBudget",
-    "ScanBudgetError",
     "SubLayer",
     "SubLayerFamily",
     "SubsetBudgetError",
@@ -103,7 +100,6 @@ __all__ = [
     "degree_sum_split",
     "encode",
     "evaluate_cut",
-    "extra_connectivity_scan",
     "family_census",
     "format_digits",
     "hamming_graph",

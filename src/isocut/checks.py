@@ -13,8 +13,10 @@ formula code existed; the oracle suites re-derive them on every full run.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .closedform import (
     ConditionKind,
@@ -518,11 +520,9 @@ ORACLE_GRID_FAST = ((2, 2), (2, 3), (3, 2), (4, 2))
 ORACLE_GRID_FULL = ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (3, 3))
 
 
-def _profile_row(graph, params, max_m, mode, budget) -> CheckResult:
-    profile = brute_boundary_profile(graph, max_m, mode, budget)
+def _profile_row(graph, params, profile, mode) -> CheckResult:
     bad = []
-    for m in range(1, max_m + 1):
-        entry = profile[m - 1]
+    for m, entry in enumerate(profile, start=1):
         if entry is None:
             bad.append(f"m={m}: no qualifying set")
             continue
@@ -542,7 +542,7 @@ def _profile_row(graph, params, max_m, mode, budget) -> CheckResult:
         f"scan-minimum[{mode}] {params}",
         "fail" if bad else "pass",
         "enumerated minima equal closed form, witnesses check out",
-        bad[:5] or f"sizes 1..{max_m}",
+        bad[:5] or f"sizes 1..{len(profile)}",
     )
 
 
@@ -557,9 +557,20 @@ def oracle_agreement_checks(
     for arity, dim in grid:
         params = HammingParams(arity, dim)
         graph = hamming_graph(params)
-        max_m = min(m_cap, params.vertex_count // 2)
+        max_m = min(m_cap, params.half_size)
+        profiles = {}
         for mode in ("any", "connected", "bilateral"):
-            rows.append(_profile_row(graph, params, max_m, mode, budget))
+            profiles[mode] = brute_boundary_profile(graph, max_m, mode, budget)
+            rows.append(_profile_row(graph, params, profiles[mode], mode))
+        if max_m < params.half_size:
+            continue
+        # the least cut with a side of at least h vertices: suffix minima
+        for kind, mode in (("extra", "bilateral"), ("isoperimetric", "any")):
+            cuts = [math.inf if e is None else e[0] for e in profiles[mode]]
+            want = list(accumulate(reversed(cuts), min))[::-1]
+            conds = (ConditionKind(kind, h) for h in range(1, max_m + 1))
+            got = [conditional_connectivity(c, params) for c in conds]
+            rows.append(_row(f"suffix-minimum[{kind}] {params}", want, got))
     return rows
 
 

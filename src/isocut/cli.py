@@ -22,10 +22,8 @@ import sys
 from . import checks
 from .closedform import (
     ConditionKind,
-    DEFAULT_SCAN_CAP,
     conditional_connectivity,
     decompose,
-    extra_connectivity_scan,
     max_degree_sum,
     min_edge_boundary,
 )
@@ -157,22 +155,13 @@ def _build_condition(args) -> ConditionKind:
 def _run_lambda(args) -> int:
     params = HammingParams(args.L, args.n)
     cond = _build_condition(args)
-    if args.scan:
-        if cond.kind != "extra":
-            raise IsocutError("--scan applies to --kind extra only")
-        value = extra_connectivity_scan(cond.value, params, args.scan_cap)
-        split = None
-        theta = cond.value
-    else:
-        value = conditional_connectivity(cond, params)
-        split = cond.sublayer_split(params)
-        theta = cond.min_fragment_size(params)
+    split = cond.sublayer_split(params)
     row = {
         "kind": cond.describe(),
         "L": params.arity,
         "n": params.dim,
-        "min_fragment_size": theta,
-        "value": value,
+        "min_fragment_size": cond.min_fragment_size(params),
+        "value": conditional_connectivity(cond, params),
         "block_g": split[0] if split else None,
         "block_t": split[1] if split else None,
     }
@@ -352,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, help="fragment size for extra/isoperimetric")
     p.add_argument("--t", type=int, help="sub-layer dimension for embedded")
     p.add_argument("--k", type=int, help="degree bound for super/average")
-    p.add_argument(
-        "--scan",
-        action="store_true",
-        help="extra only: scan sizes h..N/2 instead of the closed form",
-    )
-    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
     add_format(p)
     p.set_defaults(func=_run_lambda)
 
@@ -407,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads the environment caps, so a bad value is an error too
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

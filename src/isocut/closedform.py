@@ -13,19 +13,19 @@ Two primitive quantities are computed from it for K_L^n:
   set. On Hamming graphs this minimum is the same whether or not either side
   is required to stay connected, and equals degree*m - max_degree_sum(m).
 
-All six conditional edge-connectivities resolve to min_edge_boundary at the
-condition's minimum fragment size. Python ints are arbitrary precision, so no
-expression here can overflow.
+All six conditional edge-connectivities resolve to the least
+min_edge_boundary(m) over sizes m from the condition's minimum fragment size
+up to floor(N/2), by a digit DP over the same decomposition where no closed
+form applies. Python ints are arbitrary precision, so nothing can overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import DomainError, ScanBudgetError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .graphs import HammingParams
-
-DEFAULT_SCAN_CAP = 10**7
 
 CONDITION_KINDS = ("extra", "embedded", "cyclic", "super", "average", "isoperimetric")
 
@@ -276,15 +276,50 @@ class ConditionKind:
         return g * params.arity**t
 
 
+def _min_boundary_from(h: int, params: HammingParams) -> int:
+    """min of min_edge_boundary(m) over h <= m <= floor(N/2), by a digit DP.
+
+    A nonzero digit a at position b of m adds a[(L-1)(n-b) - (a-1) - 2s]L^b,
+    s the sum of the higher digits. Digits are picked most significant first
+    with state (digits left, s, prefix equal to h's, to floor(N/2)'s). A
+    digit strictly inside its allowed range frees the lower digits; its own
+    term is concave in a, and so is the best free completion, a minimum of
+    c - 2(s+a)r over completions (c a constant, r their value). The minimum
+    over the interior is thus at an end, and trying the range's ends plus
+    the digit just inside each tight end is exact. O(n^3) states, at most
+    n(n(L-1)+1); a loop rather than min() over a generator halves the cost.
+    """
+    arity, dim, half = params.arity, params.dim, params.half_size
+    power = [arity**b for b in range(dim)]
+
+    @cache
+    def best(left: int, s: int, tight_low: bool, tight_high: bool) -> int:
+        # least boundary share of the `left` lowest digits, s above them
+        if not left:
+            return 0
+        b = left - 1
+        lo = h // power[b] % arity if tight_low else 0
+        hi = half // power[b] % arity if tight_high else arity - 1
+        base = (arity - 1) * (dim - b) + 1 - 2 * s
+        least = None
+        # the range's ends, and the digit just inside each tight end
+        for a in {lo, hi, min(lo + tight_low, hi), max(hi - tight_high, lo)}:
+            rest = best(b, s + a, tight_low and a == lo, tight_high and a == hi)
+            value = a * (base - a) * power[b] + rest
+            if least is None or value < least:
+                least = value
+        return least
+
+    return best(dim, 0, True, True)
+
+
 def conditional_connectivity(cond: ConditionKind, params: HammingParams) -> int:
     """Exact conditional edge-connectivity of K_L^n for the given condition.
 
-    Every supported condition bottoms out at min_edge_boundary(theta), theta
-    the condition's minimum fragment size: the first theta vertices form one
-    side of an optimal cut. For extra/isoperimetric the closed form covers
+    This is the least min_edge_boundary(m) over theta <= m <= floor(N/2),
+    theta the condition's minimum fragment size. Single blocks g*L^t and
     theta <= L^floor(n/2) (where the boundary is still nondecreasing in m)
-    plus any theta of the single-block shape g*L^t; other sizes raise
-    DomainError and are answerable by extra_connectivity_scan.
+    attain it at m = theta; other extra/isoperimetric sizes take the digit DP.
     """
     theta = cond.min_fragment_size(params)
     if theta > params.half_size:
@@ -298,30 +333,7 @@ def conditional_connectivity(cond: ConditionKind, params: HammingParams) -> int:
         return sublayer_block_boundary(g, t, params)
     if theta <= params.arity ** (params.dim // 2):
         return min_edge_boundary(theta, params)
-    raise DomainError(
-        f"{cond.describe()} on {params}: fragment size {theta} is past the "
-        "first increasing interval and not a single sub-layer block; use "
-        "extra_connectivity_scan"
-    )
-
-
-def extra_connectivity_scan(
-    h: int, params: HammingParams, scan_cap: int = DEFAULT_SCAN_CAP
-) -> int:
-    """min over h <= m <= floor(N/2) of min_edge_boundary(m), by direct scan.
-
-    Covers extra-connectivity sizes that conditional_connectivity refuses
-    (multi-term theta past the first power interval). The range length is
-    guarded by scan_cap.
-    """
-    half = params.half_size
-    if not 1 <= h <= half:
-        raise DomainError(f"h must be in [1, {half}], got {h}")
-    if half - h > scan_cap:
-        raise ScanBudgetError(
-            f"scan over {half - h + 1} sizes exceeds scan_cap={scan_cap}"
-        )
-    return min(min_edge_boundary(m, params) for m in range(h, half + 1))
+    return _min_boundary_from(theta, params)
 
 
 def degree_sum_split(h1: int, h2: int, params: HammingParams) -> int:

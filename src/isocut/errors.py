@@ -30,10 +30,6 @@ class CapError(BudgetError, OverflowError):
     """Materializing the graph would exceed the vertex cap."""
 
 
-class ScanBudgetError(BudgetError):
-    """A formula scan range is larger than the configured cap."""
-
-
 class SubsetBudgetError(BudgetError):
     """Exhaustive enumeration would visit more subsets than allowed."""
 

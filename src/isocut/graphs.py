@@ -278,10 +278,10 @@ def parse_edge_list(text: str) -> Graph:
     adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
     previous = None
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise DomainError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise DomainError(f"bad edge line {ln!r}") from None
         if not (0 <= u < v < n_vertices):
             raise DomainError(f"edge ({u}, {v}) out of range or not u < v")
         if previous is not None and (u, v) <= previous:

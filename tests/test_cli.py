@@ -92,22 +92,24 @@ class TestLambda:
         assert code == 2
         assert "--h" in err
 
-    def test_scan_fallback(self, capsys):
+    @pytest.mark.parametrize("kind", ["extra", "isoperimetric"])
+    def test_far_size(self, capsys, kind):
+        # h=5 on Q4 is multi-term and past 2^2: answered by the digit DP
         code, out, _ = run(
-            capsys, "lambda", "--L", "2", "--n", "4", "--kind", "extra",
-            "--h", "5", "--scan", "--format", "json",
+            capsys, "lambda", "--L", "2", "--n", "4", "--kind", kind,
+            "--h", "5", "--format", "json",
         )
         assert code == 0
         (row,) = json.loads(out)["results"]
         assert row["value"] == 8
+        assert row["min_fragment_size"] == 5
         assert row["block_g"] is None
 
-    def test_scan_wrong_kind(self, capsys):
-        code, _, err = run(
-            capsys, "lambda", "--L", "2", "--n", "4", "--kind", "cyclic", "--scan"
-        )
-        assert code == 2
-        assert "extra" in err
+    def test_scan_flag_gone(self, capsys):
+        argv = ["lambda", "--L", "2", "--n", "4", "--kind", "extra", "--h", "5", "--scan"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_infeasible_exit_2(self, capsys):
         code, _, _ = run(capsys, "lambda", "--L", "2", "--n", "2", "--kind", "cyclic")
@@ -149,6 +151,13 @@ class TestConstruct:
         monkeypatch.setenv("ISOCUT_VERTEX_CAP", "10")
         code, _, _ = run(capsys, "construct", "--L", "2", "--n", "4", "--m", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["ISOCUT_VERTEX_CAP", "ISOCUT_MAX_SUBSETS"])
+    def test_bad_env_value_exit_2(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, _, err = run(capsys, "xi", "--L", "2", "--n", "3", "--m", "1")
+        assert code == 2
+        assert err.startswith("error:") and name in err
 
 
 class TestVerify:

@@ -1,8 +1,10 @@
-"""Closed-form boundary values, conditions, and the size scans.
+"""Closed-form boundary values and conditions.
 
 Frozen reference numbers here were produced by the subset-enumeration oracle
 (see test_oracle.py) and written down; the formulas must keep matching them.
 """
+
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,20 +14,41 @@ from isocut.closedform import (
     conditional_connectivity,
     decompose,
     degree_sum_split,
-    extra_connectivity_scan,
     max_degree_sum,
     min_boundary_binary,
     min_boundary_ternary,
     min_edge_boundary,
     sublayer_block_boundary,
 )
-from isocut.errors import DomainError, ScanBudgetError, UnsupportedError
+from isocut.errors import DomainError, UnsupportedError
 from isocut.graphs import HammingParams
 
 # Oracle-frozen boundary profiles, m = 1..floor(N/2).
 Q3_PROFILE = (3, 4, 5, 4)
 Q4_PROFILE = (4, 6, 8, 8, 10, 10, 10, 8)
 K32_PROFILE = (4, 6, 6, 8)
+
+
+def suffix_minima(p):
+    """Reference scan: min of min_edge_boundary(m) over h <= m <= N/2, h = 1..N/2."""
+    xi = (min_edge_boundary(m, p) for m in range(p.half_size, 0, -1))
+    return list(accumulate(xi, min))[::-1]
+
+
+def small_graphs():
+    """Every K_L^n with at most 10^4 vertices, cliques up to K_100.
+
+    Larger cliques add nothing: a size below L is one digit, so every h on
+    K_L takes the single-block branch.
+    """
+    yield from (HammingParams(arity, 1) for arity in range(2, 101))
+    dim = 2
+    while 2**dim <= 10**4:
+        arity = 2
+        while arity**dim <= 10**4:
+            yield HammingParams(arity, dim)
+            arity += 1
+        dim += 1
 
 
 class TestDecompose:
@@ -257,10 +280,9 @@ class TestConditionalConnectivity:
         q4 = HammingParams(2, 4)
         assert conditional_connectivity(ConditionKind.extra(3), q4) == 8
 
-    def test_multi_term_large_theta_refuses(self):
+    def test_multi_term_large_theta_value(self):
         q4 = HammingParams(2, 4)
-        with pytest.raises(DomainError, match="extra_connectivity_scan"):
-            conditional_connectivity(ConditionKind.extra(5), q4)
+        assert conditional_connectivity(ConditionKind.extra(5), q4) == 8
 
     def test_theta_above_half_refuses(self):
         with pytest.raises(DomainError):
@@ -268,27 +290,48 @@ class TestConditionalConnectivity:
 
 
 class TestExtraScan:
+    """extra(h) and isoperimetric(h) for every h against the reference scan."""
+
     def test_q4_scan_values(self):
         q4 = HammingParams(2, 4)
         # suffix minima of the frozen Q4 profile
-        expect = {1: 4, 2: 6, 3: 8, 4: 8, 5: 8, 6: 8, 7: 8, 8: 8}
-        for h, v in expect.items():
-            assert extra_connectivity_scan(h, q4) == v
+        expect = [4, 6, 8, 8, 8, 8, 8, 8]
+        assert suffix_minima(q4) == expect
+        for h, v in enumerate(expect, start=1):
+            for kind in ("extra", "isoperimetric"):
+                assert conditional_connectivity(ConditionKind(kind, h), q4) == v
 
-    def test_matches_closed_form_inside_first_interval(self):
-        p = HammingParams(3, 4)
-        for h in range(1, 10):
-            assert extra_connectivity_scan(h, p) == conditional_connectivity(
-                ConditionKind.extra(h), p
-            )
+    def test_every_size_matches_scan(self):
+        graphs = cells = 0
+        for p in small_graphs():
+            graphs += 1
+            for h, want in enumerate(suffix_minima(p), start=1):
+                cells += 1
+                for cond in (ConditionKind.extra(h), ConditionKind.isoperimetric(h)):
+                    assert conditional_connectivity(cond, p) == want, (str(p), cond)
+        assert (graphs, cells) == (244, 232_033)
 
-    def test_scan_cap(self):
-        with pytest.raises(ScanBudgetError):
-            extra_connectivity_scan(1, HammingParams(10, 8), scan_cap=100)
+    @pytest.mark.parametrize("arity,dim", [(2, 63), (1000, 6), (3, 40)])
+    def test_largest_graphs(self, arity, dim):
+        p = HammingParams(arity, dim)
+        half = p.half_size
+        first = arity ** (dim // 2) + 1
+        for h in (first, (first + half) // 3, half - 1):
+            got = [
+                conditional_connectivity(ConditionKind(kind, m), p)
+                for kind in ("extra", "isoperimetric")
+                for m in (h, h + 1)
+            ]
+            assert got[:2] == got[2:]
+            # a suffix minimum: nondecreasing in h and never above xi(h)
+            assert got[0] <= got[1] and got[0] <= min_edge_boundary(h, p)
+        top = conditional_connectivity(ConditionKind.extra(half), p)
+        assert top == min_edge_boundary(half, p)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            extra_connectivity_scan(9, HammingParams(2, 4))
+        for kind in ("extra", "isoperimetric"):
+            with pytest.raises(DomainError):
+                conditional_connectivity(ConditionKind(kind, 9), HammingParams(2, 4))
 
 
 class TestDegreeSumSplit:

@@ -165,3 +165,5 @@ class TestEdgeListIO:
             parse_edge_list("# vertices=4 edges=1 label=x\n0 0\n")
         with pytest.raises(DomainError):
             parse_edge_list("# vertices=2 edges=1 label=x\n0 5\n")
+        with pytest.raises(DomainError, match="bad edge line"):
+            parse_edge_list("# vertices=2 edges=1\n0 x\n")

@@ -13,7 +13,7 @@ import pytest
 
 from isocut.closedform import (
     ConditionKind,
-    extra_connectivity_scan,
+    conditional_connectivity,
     min_edge_boundary,
 )
 from isocut.errors import (
@@ -281,9 +281,10 @@ class TestConditionalOracle:
     def test_extra_matches_scan(self):
         p = HammingParams(2, 4)
         graph = hamming_graph(p)
+        # h=5 is past L^floor(n/2) and not a single block: the digit DP answers
         for h in (1, 2, 3, 5):
             got = brute_extra_connectivity(graph, h, budget=OracleBudget()).optimum
-            assert got == extra_connectivity_scan(h, p)
+            assert got == conditional_connectivity(ConditionKind.extra(h), p)
 
     def test_cyclic_q4(self):
         graph = hamming_graph(HammingParams(2, 4))
