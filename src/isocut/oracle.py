@@ -22,12 +22,26 @@ or idea with the formula side. Working notes on the engines:
   are broken by explicit sorted-tuple comparison (bitmask integer
   comparison would be wrong: {1,2} -> 6 beats {0,3} -> 9 numerically but
   loses lexicographically).
+* On a graph that ``_translation_transitive`` certifies vertex-transitive,
+  both enumerators visit only the sets that contain vertex 0 (root 0 in
+  rooted growth, pairs (0, v) in the scan). Every condition here is
+  invariant under automorphisms, so some optimal side contains 0, and the
+  lexicographically least optimal side does: a tuple starting with 0 is
+  less than any that does not. The state counts drop; values, witnesses and
+  atom sizes do not change. The certificate reads only the graph, never its
+  label, and is the sole gate: every other graph gets the full enumeration.
 * Both enumerators split their work into tasks that go through one runner,
   in-process or over a process pool. Results come back in task order and
   are combined with a deterministic min-reduction, so parallel results
   match serial ones bit for bit. Worker state and side predicates are
   module-level and picklable, so workers run under every start method
   (fork, spawn, forkserver).
+* The runner keeps its worker processes for the next parallel call with
+  the same start method and worker count: starting them costs more than a
+  small enumeration. Each task carries its call's state and token, and a
+  worker reloads the state only when the token changes. A call that raises
+  terminates the workers, since chunks of it may still be running, and an
+  exit hook terminates whatever workers are left.
 * ``OracleBudget.max_subsets`` caps the total state count of one
   enumeration: the runner sums the states of the tasks as their results
   arrive, and every task stops once it alone would exceed what is left.
@@ -39,12 +53,14 @@ or idea with the formula side. Working notes on the engines:
 
 from __future__ import annotations
 
+import atexit
 import math
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, count, product
 from multiprocessing import get_context
 
 from .closedform import ConditionKind
@@ -159,24 +175,151 @@ def _require_oracle_scale(graph: Graph, budget: OracleBudget) -> None:
         )
 
 
+# --- vertex-transitivity certificate -----------------------------------------
+
+def _digit_steps(arity: int, dim: int) -> list[tuple[int, ...]]:
+    """The maps "digit p plus 1 mod arity" on base-arity vertex ids, one per
+    digit position p = 0..dim-1, each as a tuple image[v]."""
+    steps = []
+    for p in range(dim):
+        power = arity**p
+        steps.append(tuple(
+            v - (arity - 1) * power if v // power % arity == arity - 1 else v + power
+            for v in range(arity**dim)
+        ))
+    return steps
+
+
+def _translation_transitive(graph: Graph) -> bool:
+    """True iff the digit translations of a K_L^n labelling are automorphisms.
+
+    Reads only the vertex count N, the common degree and the adjacency. At
+    most one (L, n) has L**n = N and (L-1)*n = degree, because (x-1)ln N/ln x
+    grows with x = N**(1/n); it fixes a base-L reading of the vertex ids.
+    Each of the n maps "digit p plus 1 mod L" must send every neighbourhood
+    onto a neighbourhood. They generate Z_L^n acting regularly, so when they
+    hold the graph is vertex-transitive. That covers K_L^n and the identity
+    and reversal BC networks (XOR Cayley graphs of Z_2^n). A translation
+    keeps a side's size, internal edges, induced minimum degree and cycles,
+    and maps axis sub-layers of K_L^n onto axis sub-layers, so it keeps
+    every condition kind; callers may then enumerate only sets containing 0.
+    """
+    adjacency = graph.adjacency
+    degrees = {len(nbrs) for nbrs in adjacency}
+    if len(degrees) != 1:
+        return False
+    (degree,) = degrees
+    n_vertices = graph.vertex_count
+    for dim in range(1, n_vertices.bit_length()):
+        arity = round(n_vertices ** (1 / dim))
+        if arity**dim == n_vertices and (arity - 1) * dim == degree:
+            break
+    else:
+        return False
+    neighbours = [set(nbrs) for nbrs in adjacency]
+    return all(
+        {step[u] for u in adjacency[v]} == neighbours[step[v]]
+        for step in _digit_steps(arity, dim)
+        for v in range(n_vertices)
+    )
+
+
+def _roots(graph: Graph) -> int:
+    """Enumerate the sets whose least vertex is below this: 1 (only sets
+    containing vertex 0) on a certified vertex-transitive graph, else N."""
+    return 1 if _translation_transitive(graph) else graph.vertex_count
+
+
 # --- task runner --------------------------------------------------------------
 #
-# Worker state lives in a module global (set by the pool initializer or, for
-# serial runs, directly) so tasks stay cheap to ship. A task is a module-level
-# function task(item, cap) -> (result, visited) that raises SubsetBudgetError
-# once it alone visits more than cap states.
+# A task is a module-level function task(item, cap) -> (result, visited) that
+# raises SubsetBudgetError once it alone visits more than cap states. It reads
+# its call's state from the module global _W, which _apply reloads whenever
+# the call token changes.
+#
+# Each worker process has a pipe of its own and shares no lock with the
+# others, so terminating the workers mid-call is safe. multiprocessing.Pool
+# is not used: its terminate can hang when it kills a worker that holds the
+# lock of the shared result queue.
 
 _W: dict = {}
-
-
-def _load_state(state: dict) -> None:
-    _W.clear()
-    _W.update(state)
+_TOKENS = count()
+_POOL: dict = {}  # at most one entry, (start method, workers) -> [(process, pipe)]
+_POOL_LOCK = threading.Lock()  # held by the one parallel call using _POOL
 
 
 def _apply(args):
-    task, item, cap = args
+    token, state, task, item, cap = args
+    if _W.get("token") != token:
+        _W.clear()
+        _W.update(state, token=token)
     return task(item, cap)
+
+
+def _serve(pipe) -> None:
+    """Worker loop: run each chunk of task arguments that arrives and send
+    back (True, outcomes) or (False, the exception raised)."""
+    while True:
+        try:
+            chunk = pipe.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, [_apply(args) for args in chunk])
+        except Exception as exc:  # raised again in the parent
+            reply = (False, exc)
+        pipe.send(reply)
+
+
+def _pool(workers: int) -> list:
+    """The pipes to the workers for the current start method and worker
+    count; workers kept for another key are terminated first."""
+    ctx = get_context()
+    key = (ctx.get_start_method(), workers)
+    if key not in _POOL:
+        _close_pools()
+        members = []
+        for _ in range(workers):
+            mine, theirs = ctx.Pipe()
+            process = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+            process.start()
+            theirs.close()
+            members.append((process, mine))
+        _POOL[key] = members
+    return [pipe for _, pipe in _POOL[key]]
+
+
+@atexit.register
+def _close_pools() -> None:
+    while _POOL:
+        for process, pipe in _POOL.popitem()[1]:
+            process.terminate()
+            process.join()
+            pipe.close()
+
+
+def _run_chunks(pipes: list, chunks: list):
+    """Yield (index, outcomes) for each chunk, in the order workers finish."""
+    # imported here, like the rest of multiprocessing's machinery, to keep
+    # it out of the package's import time
+    from multiprocessing.connection import wait
+
+    todo = iter(enumerate(chunks))
+    idle = list(pipes)
+    busy: dict = {}
+    while True:
+        for pipe, (index, chunk) in zip(idle, todo):
+            pipe.send(chunk)
+            busy[pipe] = index
+        idle = []
+        if not busy:
+            return
+        for pipe in wait(list(busy)):
+            ok, value = pipe.recv()
+            if not ok:
+                raise value
+            idle.append(pipe)
+            yield busy.pop(pipe), value
 
 
 def _run_tasks(task, state: dict, items: list, budget: OracleBudget, visited: int):
@@ -190,30 +333,34 @@ def _run_tasks(task, state: dict, items: list, budget: OracleBudget, visited: in
     cap = budget.max_subsets
     if visited > cap:
         raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
+    token = next(_TOKENS)
     workers = budget.parallel_chunks if items else 1
-    results = []
-    with (
-        get_context().Pool(workers, initializer=_load_state, initargs=(state,))
-        if workers > 1
-        else nullcontext()
-    ) as pool:
-        if pool is None:
-            _load_state(state)
-            # the generator reads `visited` lazily, after the previous result
-            outcomes = (task(i, cap - visited) for i in items)
-        else:
-            # about eight chunks per worker: each result costs a round trip,
-            # and the heavy tasks (small roots) come first
-            chunksize = max(1, len(items) // (8 * workers))
-            outcomes = pool.imap(
-                _apply, [(task, i, cap - visited) for i in items], chunksize
-            )
-        for result, count in outcomes:
-            visited += count
-            if visited > cap:
-                raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
-            results.append(result)
-    return results, visited
+    done = {}
+    with _POOL_LOCK if workers > 1 else nullcontext():
+        try:
+            if workers == 1:
+                # the generator reads `visited` lazily, after the previous result
+                outcomes = (
+                    (index, [_apply((token, state, task, item, cap - visited))])
+                    for index, item in enumerate(items)
+                )
+            else:
+                # about eight chunks per worker: each result costs a round
+                # trip, and the heavy tasks (small roots) come first
+                size = max(1, len(items) // (8 * workers))
+                args = [(token, state, task, item, cap - visited) for item in items]
+                chunks = [args[k:k + size] for k in range(0, len(args), size)]
+                outcomes = _run_chunks(_pool(workers), chunks)
+            for index, chunk in outcomes:
+                visited += sum(states for _, states in chunk)
+                if visited > cap:
+                    raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
+                done[index] = chunk
+        except BaseException:
+            if workers > 1:
+                _close_pools()  # chunks of this call may still be running
+            raise
+    return [result for index in sorted(done) for result, _ in done[index]], visited
 
 
 # --- engine: fixed-size scan, no connectivity --------------------------------
@@ -259,10 +406,13 @@ def _beta_task(pair, cap):
 
 
 def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
-    """Per-size minima over ALL subsets (sizes 1..max_m). Returns
+    """Per-size minima over ALL subsets (sizes 1..max_m), or over those
+    containing vertex 0 on a certified vertex-transitive graph. Returns
     (list of (cut, witness_tuple) per size, visited)."""
     n = graph.vertex_count
-    total = sum(math.comb(n, k) for k in range(1, max_m + 1))
+    roots = _roots(graph)
+    # the sets of size k whose least vertex is below roots
+    total = sum(math.comb(n, k) - math.comb(n - roots, k) for k in range(1, max_m + 1))
     if total > budget.max_subsets:
         raise SubsetBudgetError(
             f"{total} subsets of size <= {max_m} exceed max_subsets="
@@ -275,14 +425,15 @@ def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
     best_mask = [None] * (max_m + 1)
     # size 1 handled here; the v0 loop is ascending so first strict optimum
     # is the lexicographically least witness
-    for v in range(n):
+    for v in range(roots):
         if best_cut[1] is None or degrees[v] < best_cut[1]:
             best_cut[1] = degrees[v]
             best_mask[1] = 1 << v
 
-    tasks = list(combinations(range(n), 2)) if max_m >= 2 else []
+    pairs = ((v0, v1) for v0 in range(roots) for v1 in range(v0 + 1, n))
+    tasks = list(pairs) if max_m >= 2 else []
     state = {"masks": masks, "degrees": degrees, "max_m": max_m, "n": n}
-    results, visited = _run_tasks(_beta_task, state, tasks, budget, n)
+    results, visited = _run_tasks(_beta_task, state, tasks, budget, roots)
     # tasks are in lexicographic block order, so strict improvement keeps the
     # earliest (least) witness on ties
     for cuts, witnesses in results:
@@ -301,11 +452,12 @@ def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
 
 # --- engine: rooted growth ----------------------------------------------------
 
-def _growth_tasks(masks: tuple[int, ...]) -> list[tuple[int, int]]:
-    """One (root, ext_index) task per edge from a root to a larger vertex."""
+def _growth_tasks(masks: tuple[int, ...], roots: int) -> list[tuple[int, int]]:
+    """One (root, ext_index) task per edge from a root below `roots` to a
+    larger vertex."""
     return [
         (root, j)
-        for root in range(len(masks))
+        for root in range(roots)
         for j in range((masks[root] >> (root + 1)).bit_count())
     ]
 
@@ -411,15 +563,18 @@ def _merge_profiles(best, extra):
 
 
 def _connected_profile(graph: Graph, max_m: int, budget: OracleBudget, bilateral: bool):
-    """Per-size minima over connected sets (and optionally bilateral ones)."""
+    """Per-size minima over connected sets (and optionally bilateral ones);
+    only over those containing vertex 0 on a certified vertex-transitive
+    graph."""
     n = graph.vertex_count
     masks = graph.neighbor_masks
     degrees = tuple(graph.degree(v) for v in range(n))
     full = (1 << n) - 1
+    roots = _roots(graph)
 
     best_e: list = [None] * (max_m + 1)
     best_b: list = [None] * (max_m + 1)
-    for v in range(n):
+    for v in range(roots):
         cut = degrees[v]
         entry = (cut, (v,))
         if best_e[1] is None or entry < best_e[1]:
@@ -428,7 +583,7 @@ def _connected_profile(graph: Graph, max_m: int, budget: OracleBudget, bilateral
             if best_b[1] is None or entry < best_b[1]:
                 best_b[1] = entry
 
-    tasks = _growth_tasks(masks) if max_m >= 2 else []
+    tasks = _growth_tasks(masks, roots) if max_m >= 2 else []
     state = {
         "masks": masks,
         "degrees": degrees,
@@ -437,7 +592,7 @@ def _connected_profile(graph: Graph, max_m: int, budget: OracleBudget, bilateral
         "full": full,
         "bilateral": bilateral,
     }
-    results, visited = _run_tasks(_grow_task, state, tasks, budget, n)
+    results, visited = _run_tasks(_grow_task, state, tasks, budget, roots)
     for te, tb in results:
         _merge_profiles(best_e, te)
         _merge_profiles(best_b, tb)
@@ -668,7 +823,9 @@ def brute_conditional(
     Both sides must satisfy the condition; both sides must be connected for
     every kind except isoperimetric, which scans arbitrary subsets of size
     h..floor(N/2) instead. Raises InfeasibleError when nothing qualifies.
-    `params` is required for the embedded kind (sub-layer structure).
+    `params` is required for the embedded kind (sub-layer structure). On a
+    certified vertex-transitive graph only sides containing vertex 0 are
+    enumerated; the optimum, witness and atom size are the same.
     """
     t0 = time.perf_counter()
     _require_oracle_scale(graph, budget)
@@ -698,11 +855,12 @@ def brute_conditional(
     masks = graph.neighbor_masks
     degrees = tuple(graph.degree(v) for v in range(n))
     full = (1 << n) - 1
+    roots = _roots(graph)
 
     best = None  # (cut, witness, atom)
     # singleton sides; v ascends, so on equal cut the earlier (lesser) witness
     # is already in place and every atom here is 1
-    for v in range(n):
+    for v in range(roots):
         mask = 1 << v
         other = full & ~mask
         if not (pred(mask, 1, 0) and pred(other, n - 1, graph.edge_count - degrees[v])):
@@ -712,7 +870,7 @@ def brute_conditional(
         if best is None or degrees[v] < best[0]:
             best = (degrees[v], (v,), 1)
 
-    tasks = _growth_tasks(masks) if half >= 2 else []
+    tasks = _growth_tasks(masks, roots) if half >= 2 else []
     state = {
         "masks": masks,
         "degrees": degrees,
@@ -722,7 +880,7 @@ def brute_conditional(
         "pred": pred,
         "edges": graph.edge_count,
     }
-    results, visited = _run_tasks(_grow_task, state, tasks, budget, n)
+    results, visited = _run_tasks(_grow_task, state, tasks, budget, roots)
     for entry in results:
         if entry is None:
             continue

@@ -8,9 +8,16 @@ by the lexicographically least sorted vertex tuple.
 
 import itertools
 import multiprocessing
+import random
+import subprocess
+import sys
+import threading
+from functools import partial
 
 import pytest
 
+from isocut import oracle
+from isocut.checks import BC_SEEDS
 from isocut.closedform import (
     ConditionKind,
     conditional_connectivity,
@@ -214,7 +221,7 @@ DETERMINISM_CELLS = [
 def start_method(request):
     saved = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(request.param, force=True)
-    yield
+    yield request.param
     multiprocessing.set_start_method(saved, force=True)
 
 
@@ -230,12 +237,23 @@ class TestDeterminism:
         assert serial == parallel
 
 
-def connected_q4(max_subsets, chunks=1):
+def connected_half(graph, max_subsets, chunks=1):
     return brute_min_boundary_connected(
-        hamming_graph(HammingParams(2, 4)),
-        8,
+        graph,
+        graph.vertex_count // 2,
         budget=OracleBudget(max_subsets=max_subsets, parallel_chunks=chunks),
     )
+
+
+def connected_q4(max_subsets, chunks=1):
+    return connected_half(hamming_graph(HammingParams(2, 4)), max_subsets, chunks)
+
+
+def assert_cap_is_exact(graph, exact, chunks):
+    assert connected_half(graph, OracleBudget().max_subsets).subsets_visited == exact
+    assert connected_half(graph, exact, chunks).subsets_visited == exact
+    with pytest.raises(SubsetBudgetError):
+        connected_half(graph, exact - 1, chunks)
 
 
 class TestBudgets:
@@ -256,18 +274,100 @@ class TestBudgets:
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_is_global(self, chunks):
-        # the scan visits about three times this many states in all, but no
-        # single (root, first extension) task does
+        # the root-0 scan visits 6593 states in all, but its largest
+        # (root, first extension) task visits 3246
         with pytest.raises(SubsetBudgetError):
             connected_q4(5000, chunks)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count(self, chunks):
-        exact = 14744
-        assert connected_q4(OracleBudget().max_subsets).subsets_visited == exact
-        assert connected_q4(exact, chunks).subsets_visited == exact
+        # the connected sets of size <= 8 that contain vertex 0
+        assert_cap_is_exact(hamming_graph(HammingParams(2, 4)), 6593, chunks)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_cap_at_exact_state_count_not_transitive(self, chunks):
+        # every connected set of size <= 8: the certificate rejects this graph
+        assert_cap_is_exact(bc_network(4, "seeded_random", seed=7), 15910, chunks)
+
+
+def q4_connected_result(max_subsets, chunks):
+    r = connected_q4(max_subsets, chunks)
+    return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
+
+
+class TestPoolLifecycle:
+    def test_reused_across_calls(self, start_method):
+        connected_q4(10**6, 2)
+        first = {p.pid for p in multiprocessing.active_children()}
+        connected_q4(10**6, 2)
+        second = {p.pid for p in multiprocessing.active_children()}
+        assert len(first) == 2 and first == second
+
+    def test_fresh_after_budget_error(self, start_method):
+        # the total passes the cap before all four tasks have reported, so
+        # the workers may still be running some of them
         with pytest.raises(SubsetBudgetError):
-            connected_q4(exact - 1, chunks)
+            connected_q4(5000, 2)
+        assert q4_connected_result(10**6, 2) == q4_connected_result(10**6, 1)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_budget_errors_never_hang(self):
+        # multiprocessing.Pool.terminate hangs now and then when a worker it
+        # kills is sending a result; under fork a few hundred calls show it
+        code = (
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "from isocut import HammingParams, OracleBudget, SubsetBudgetError, hamming_graph\n"
+            "from isocut.oracle import brute_min_boundary_connected\n"
+            "graph = hamming_graph(HammingParams(2, 4))\n"
+            "budget = OracleBudget(max_subsets=5000, parallel_chunks=2)\n"
+            "for _ in range(300):\n"
+            "    try:\n"
+            "        brute_min_boundary_connected(graph, 8, budget)\n"
+            "    except SubsetBudgetError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise SystemExit('no budget error')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_threads_share_the_workers(self):
+        serial = q4_connected_result(10**6, 1)
+        results = []
+
+        def run():
+            for _ in range(5):
+                results.append(q4_connected_result(10**6, 2))
+
+        threads = [threading.Thread(target=run, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results == [serial] * 20
+
+    def test_exit_does_not_hang(self, start_method):
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from isocut import HammingParams, OracleBudget, hamming_graph\n"
+            "from isocut.oracle import brute_min_boundary_connected\n"
+            "graph = hamming_graph(HammingParams(2, 4))\n"
+            "budget = OracleBudget(parallel_chunks=2)\n"
+            "print(brute_min_boundary_connected(graph, 8, budget).optimum)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, start_method],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "8"
 
 
 class TestConditionalOracle:
@@ -344,3 +444,130 @@ class TestBipartiteProperty:
         assert bipartite_property_check(q3, ConditionKind.isoperimetric(2))
         k32 = hamming_graph(HammingParams(3, 2))
         assert bipartite_property_check(k32, ConditionKind.extra(2))
+
+
+# --- root-0 enumeration on certified vertex-transitive graphs ------------------
+
+def assert_translations_reach_zero(graph, arity, dim):
+    """For every vertex v, some composition of the digit steps sends v to 0
+    and maps the edge set onto itself."""
+    n = graph.vertex_count
+    steps = oracle._digit_steps(arity, dim)
+    edges = set(graph.edges())
+    for v in range(n):
+        image = list(range(n))
+        for step in steps:
+            # the power of this step that takes v's image lowest
+            best = current = image
+            for _ in range(arity):
+                current = [step[x] for x in current]
+                if current[v] < best[v]:
+                    best = current
+            image = best
+        assert image[v] == 0, (graph.label, v)
+        moved = {tuple(sorted((image[a], image[b]))) for a, b in edges}
+        assert moved == edges, (graph.label, v)
+
+
+def relabelled(graph, seed):
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges()}
+    return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
+
+
+class TestCertificate:
+    def test_hamming_up_to_32_vertices(self):
+        for arity in range(2, 33):
+            for dim in range(1, 6):
+                if arity**dim > 32:
+                    break
+                graph = hamming_graph(HammingParams(arity, dim))
+                assert oracle._translation_transitive(graph), graph.label
+                assert_translations_reach_zero(graph, arity, dim)
+
+    def test_cayley_bc_networks(self):
+        for dim in range(1, 6):
+            for policy in ("identity", "reversal"):
+                graph = bc_network(dim, policy)
+                assert oracle._translation_transitive(graph), graph.label
+                assert_translations_reach_zero(graph, 2, dim)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_seeded_random_bc_rejected(self, dim):
+        for seed in BC_SEEDS:
+            graph = bc_network(dim, "seeded_random", seed=seed)
+            assert not oracle._translation_transitive(graph), graph.label
+
+    def test_rejected(self):
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], "star")
+        k32 = hamming_graph(HammingParams(3, 2))
+        for graph in (pocket_graph(), star, relabelled(k32, seed=1)):
+            assert not oracle._translation_transitive(graph), graph.label
+
+
+def condition_grid(graph, params):
+    """Every condition kind at every value that can matter on graph."""
+    half = graph.vertex_count // 2
+    degree = max(len(nbrs) for nbrs in graph.adjacency)
+    out = [ConditionKind(k, h) for k in ("extra", "isoperimetric") for h in range(1, half + 1)]
+    out += [ConditionKind.super_degree(k) for k in range(degree + 1)]
+    out += [ConditionKind.average_degree(k) for k in range(degree + 1)]
+    out.append(ConditionKind.cyclic())
+    if params is not None:
+        out += [ConditionKind.embedded(t) for t in range(params.dim)]
+    return out
+
+
+def oracle_outcomes(graph, params, max_m):
+    """(results, state counts) of every condition and profile mode."""
+    results, states = [], []
+    for cond in condition_grid(graph, params):
+        try:
+            r = brute_conditional(graph, cond, params=params)
+        except InfeasibleError:
+            results.append((cond.describe(), "infeasible"))
+            continue
+        holds = bipartite_property_check(graph, cond, params=params)
+        results.append((cond.describe(), r.optimum, r.witness, r.atom_size, r.report, holds))
+        states.append(r.subsets_visited)
+    for mode in ("any", "connected", "bilateral"):
+        results.append((mode, brute_boundary_profile(graph, max_m, mode)))
+    return results, states
+
+
+REDUCTION_GRAPHS = [
+    (f"k{arity}{dim}", partial(hamming_graph, HammingParams(arity, dim)),
+     HammingParams(arity, dim))
+    for arity, dim in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2))
+] + [
+    (f"bc4-{policy}", partial(bc_network, 4, policy, seed=7), None)
+    for policy in ("identity", "reversal", "seeded_random")
+]
+
+
+class TestRootZeroReduction:
+    @pytest.mark.parametrize(
+        "make,params", [g[1:] for g in REDUCTION_GRAPHS], ids=[g[0] for g in REDUCTION_GRAPHS]
+    )
+    def test_only_the_work_changes(self, monkeypatch, make, params):
+        graph = make()
+        transitive = oracle._translation_transitive(graph)
+        reduced, reduced_states = oracle_outcomes(graph, params, graph.vertex_count // 2)
+        monkeypatch.setattr(oracle, "_translation_transitive", lambda graph: False)
+        full, full_states = oracle_outcomes(graph, params, graph.vertex_count // 2)
+        assert reduced == full
+        pairs = list(zip(reduced_states, full_states))
+        if transitive:
+            assert all(r < f for r, f in pairs)
+        else:
+            assert all(r == f for r, f in pairs)
+
+    @pytest.mark.parametrize("arity,dim,max_m", [(3, 3, 5), (5, 2, 6)])
+    def test_profiles_unchanged(self, monkeypatch, arity, dim, max_m):
+        graph = hamming_graph(HammingParams(arity, dim))
+        modes = ("any", "connected", "bilateral")
+        reduced = [brute_boundary_profile(graph, max_m, mode) for mode in modes]
+        monkeypatch.setattr(oracle, "_translation_transitive", lambda graph: False)
+        full = [brute_boundary_profile(graph, max_m, mode) for mode in modes]
+        assert reduced == full
