@@ -12,14 +12,13 @@ formula code existed; the oracle suites re-derive them on every full run.
 
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .closedform import (
     ConditionKind,
+    _min_boundary_from,
     conditional_connectivity,
     decompose,
     degree_sum_split,
@@ -127,6 +126,15 @@ def table_one_checks() -> list[CheckResult]:
 
 # --- conditional connectivity grid ---------------------------------------------
 
+_MAX_ARITY, _MAX_DIM = 10, 8  # the closed-form grid: every K_L^n, L <= 10, n <= 8
+
+
+def _grid(max_arity: int = _MAX_ARITY, max_dim: int = _MAX_DIM):
+    for arity in range(2, max_arity + 1):
+        for dim in range(2, max_dim + 1):
+            yield HammingParams(arity, dim)
+
+
 def _cyclic_expected(arity: int, dim: int) -> int | None:
     """Closed cyclic value on the grid; None where the condition is infeasible."""
     if arity == 2:
@@ -136,58 +144,61 @@ def _cyclic_expected(arity: int, dim: int) -> int | None:
     return 3 * ((arity - 1) * dim - 2)
 
 
-def connectivity_grid_checks(max_arity: int = 10, max_dim: int = 8) -> list[CheckResult]:
+def connectivity_grid_checks() -> list[CheckResult]:
     """Every structured condition on the (arity, dim) grid against the
     single closed expression (arity-1)(dim-t)·arity^t, plus the cyclic rule."""
     rows = []
-    for arity in range(2, max_arity + 1):
-        for dim in range(2, max_dim + 1):
-            params = HammingParams(arity, dim)
-            bad = []
-            checked = 0
-            for t in range(dim):
-                want = (arity - 1) * (dim - t) * arity**t
-                block = arity**t
-                conds = (
-                    ConditionKind.extra(block),
-                    ConditionKind.embedded(t),
-                    ConditionKind.super_degree((arity - 1) * t),
-                    ConditionKind.average_degree((arity - 1) * t),
-                    ConditionKind.isoperimetric(block),
-                )
-                for cond in conds:
-                    checked += 1
-                    got = conditional_connectivity(cond, params)
-                    if got != want:
-                        bad.append(f"{cond.describe()}@t={t}: {got}!={want}")
-            want_cyc = _cyclic_expected(arity, dim)
-            checked += 1
-            if want_cyc is None:
-                try:
-                    got = conditional_connectivity(ConditionKind.cyclic(), params)
-                    bad.append(f"cyclic: expected DomainError, got {got}")
-                except DomainError:
-                    pass
-            else:
-                got = conditional_connectivity(ConditionKind.cyclic(), params)
-                if got != want_cyc:
-                    bad.append(f"cyclic: {got}!={want_cyc}")
-            rows.append(
-                CheckResult(
-                    f"connectivity-grid {params}",
-                    "fail" if bad else "pass",
-                    "all conditions match closed forms",
-                    bad or f"{checked} conditions",
-                    "; ".join(bad[:4]),
-                )
+    for params in _grid():
+        arity, dim = params.arity, params.dim
+        bad = []
+        checked = 0
+        for t in range(dim):
+            want = (arity - 1) * (dim - t) * arity**t
+            block = arity**t
+            conds = (
+                ConditionKind.extra(block),
+                ConditionKind.embedded(t),
+                ConditionKind.super_degree((arity - 1) * t),
+                ConditionKind.average_degree((arity - 1) * t),
+                ConditionKind.isoperimetric(block),
             )
+            for cond in conds:
+                checked += 1
+                got = conditional_connectivity(cond, params)
+                if got != want:
+                    bad.append(f"{cond.describe()}@t={t}: {got}!={want}")
+        want_cyc = _cyclic_expected(arity, dim)
+        checked += 1
+        if want_cyc is None:
+            try:
+                got = conditional_connectivity(ConditionKind.cyclic(), params)
+                bad.append(f"cyclic: expected DomainError, got {got}")
+            except DomainError:
+                pass
+        else:
+            got = conditional_connectivity(ConditionKind.cyclic(), params)
+            if got != want_cyc:
+                bad.append(f"cyclic: {got}!={want_cyc}")
+        rows.append(
+            CheckResult(
+                f"connectivity-grid {params}",
+                "fail" if bad else "pass",
+                "all conditions match closed forms",
+                bad or f"{checked} conditions",
+                "; ".join(bad[:4]),
+            )
+        )
     return rows
 
 
 # --- witness construction sweep -------------------------------------------------
 
-def _witness_sweep_row(params: HammingParams, vertex_limit: int) -> CheckResult:
-    graph = hamming_graph(params, max_vertices=vertex_limit)
+_SWEEP_VERTEX_LIMIT = 10_000  # every K_L^n with at most this many vertices
+_SWEEP_CLIQUE_LIMIT = 100  # K_L materialized up to here, analytic beyond
+
+
+def _witness_sweep_row(params: HammingParams) -> CheckResult:
+    graph = hamming_graph(params, max_vertices=_SWEEP_VERTEX_LIMIT)
     half = params.half_size
     rows = prefix_cut_sweep(graph, half)
     bad = []
@@ -215,7 +226,7 @@ def _witness_sweep_row(params: HammingParams, vertex_limit: int) -> CheckResult:
     )
 
 
-def _clique_tail_row(max_arity: int) -> CheckResult:
+def _clique_tail_row() -> CheckResult:
     """Cliques beyond the materialization limit, checked analytically.
 
     On K_L the initial segment {0..m-1} cuts exactly m(L-m) edges (every
@@ -228,7 +239,7 @@ def _clique_tail_row(max_arity: int) -> CheckResult:
     """
     bad = []
     spots = 0
-    for arity in range(101, max_arity + 1):
+    for arity in range(_SWEEP_CLIQUE_LIMIT + 1, 10_000 + 1):
         params = HammingParams(arity, 1)
         half = arity // 2
         for m in sorted({1, 2, half // 2, half - 1, half}):
@@ -255,49 +266,35 @@ def _clique_tail_row(max_arity: int) -> CheckResult:
     )
 
 
-def witness_sweep_checks(
-    vertex_limit: int = 10_000, clique_materialized_limit: int = 100
-) -> list[CheckResult]:
+def witness_sweep_checks() -> list[CheckResult]:
     """Prefix sets of every materializable K_L^n realize the closed forms."""
     rows = []
-    for arity in range(2, clique_materialized_limit + 1):
-        rows.append(_witness_sweep_row(HammingParams(arity, 1), vertex_limit))
+    for arity in range(2, _SWEEP_CLIQUE_LIMIT + 1):
+        rows.append(_witness_sweep_row(HammingParams(arity, 1)))
     dim = 2
-    while 2**dim <= vertex_limit:
+    while 2**dim <= _SWEEP_VERTEX_LIMIT:
         arity = 2
-        while arity**dim <= vertex_limit:
-            rows.append(_witness_sweep_row(HammingParams(arity, dim), vertex_limit))
+        while arity**dim <= _SWEEP_VERTEX_LIMIT:
+            rows.append(_witness_sweep_row(HammingParams(arity, dim)))
             arity += 1
         dim += 1
-    rows.append(_clique_tail_row(10_000))
+    rows.append(_clique_tail_row())
     return rows
 
 
 # --- boundary function monotonicity ---------------------------------------------
 
-def _grid(max_arity: int, max_dim: int):
-    for arity in range(2, max_arity + 1):
-        for dim in range(2, max_dim + 1):
-            yield HammingParams(arity, dim)
-
-
-def monotonicity_checks(
-    max_arity: int = 10,
-    max_dim: int = 8,
-    offset_sample: int = 1000,
-    floor_sample: int = 10_000,
-    seed: int = 20240819,
-) -> list[CheckResult]:
+def monotonicity_checks() -> list[CheckResult]:
     """The staircase structure of the boundary function, checked cellwise.
 
     Covers: the split identity for degree sums; unit steps never decrease
     below the square-root threshold; whole-block steps, within-block offsets
     and power steps never decrease; the floor property (no m above a block
     beats the block value); and the block formula agreeing with the general
-    one. Offsets and the floor property are exhaustive where the ranges are
-    small and deterministically sampled where they are astronomically large.
+    one. Every row is exhaustive on the whole grid: the offset and floor rows
+    compare a block's boundary with the digit DP's least boundary over all
+    larger sizes up to floor(N/2), which is exact however many sizes that is.
     """
-    rng = random.Random(seed)
     rows = []
 
     # split identity for degree sums
@@ -325,7 +322,7 @@ def monotonicity_checks(
     # unit steps below the square-root threshold
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         top = params.arity ** (params.dim // 2)
         prev = min_edge_boundary(1, params)
         for m in range(2, top + 1):
@@ -346,7 +343,7 @@ def monotonicity_checks(
     # whole-block steps: g*arity^t -> (g+1)*arity^t
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         arity = params.arity
         for t in range(params.dim - 1):
             block = arity**t
@@ -366,38 +363,34 @@ def monotonicity_checks(
         )
     )
 
-    # offsets inside a block never drop below the block value
+    # offsets inside a block never drop below the block value: the least
+    # boundary over every size past g*arity^t covers all offsets 1..arity^t-1
+    # (t = 0 has none; for t <= dim-2 the block's end stays within N/2)
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         arity = params.arity
-        for t in range(params.dim - 1):
-            block = arity**t
+        for t in range(1, params.dim - 1):
             for g in range(1, arity):
-                base = min_edge_boundary(g * block, params)
-                if block - 1 <= offset_sample:
-                    offsets = range(1, block)
-                else:
-                    offsets = sorted(
-                        rng.sample(range(1, block), offset_sample)
-                    )
-                for h0 in offsets:
-                    count += 1
-                    if min_edge_boundary(g * block + h0, params) < base:
-                        bad.append(f"{params} g={g} t={t} h0={h0}")
+                block = g * arity**t
+                count += 1
+                if _min_boundary_from(block + 1, params) < min_edge_boundary(
+                    block, params
+                ):
+                    bad.append(f"{params} g={g} t={t}")
     rows.append(
         CheckResult(
             "offset-dominates-block",
             "fail" if bad else "pass",
             "offset inside a block never beats the block boundary",
-            bad[:5] or f"{count} offsets",
+            bad[:5] or f"{count} blocks",
         )
     )
 
     # power steps arity^t -> arity^(t+1)
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         arity = params.arity
         for t in range(params.dim - 1):
             count += 1
@@ -417,35 +410,16 @@ def monotonicity_checks(
     # floor property: nothing at or above a block undercuts the block value
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         arity = params.arity
-        half = params.half_size
-        thresholds = sorted(
-            {
-                g * arity**t
-                for t in range(params.dim)
-                for g in range(1, arity)
-                if g * arity**t <= half
-            }
-        )
-        if params.vertex_count <= 10_000:
-            sample = list(range(1, half + 1))
-        else:
-            sample = set(thresholds) | {half}
-            sample.update(rng.randrange(1, half + 1) for _ in range(floor_sample))
-            for thr in thresholds:
-                for _ in range(128):
-                    sample.add(rng.randrange(thr, half + 1))
-            sample = sorted(sample)
-        values = [min_edge_boundary(m, params) for m in sample]
-        suffix_min = values[:]
-        for i in range(len(values) - 2, -1, -1):
-            suffix_min[i] = min(suffix_min[i], suffix_min[i + 1])
-        for thr in thresholds:
-            idx = bisect.bisect_left(sample, thr)
-            count += 1
-            if suffix_min[idx] < min_edge_boundary(thr, params):
-                bad.append(f"{params} threshold={thr}")
+        for t in range(params.dim):
+            for g in range(1, arity):
+                thr = g * arity**t
+                if thr > params.half_size:
+                    continue
+                count += 1
+                if _min_boundary_from(thr, params) < min_edge_boundary(thr, params):
+                    bad.append(f"{params} threshold={thr}")
     rows.append(
         CheckResult(
             "threshold-floor",
@@ -458,7 +432,7 @@ def monotonicity_checks(
     # block formula agrees with the general boundary
     bad = []
     count = 0
-    for params in _grid(max_arity, max_dim):
+    for params in _grid():
         arity = params.arity
         half = params.half_size
         for t in range(params.dim):
@@ -518,6 +492,7 @@ def reduction_checks() -> list[CheckResult]:
 
 ORACLE_GRID_FAST = ((2, 2), (2, 3), (3, 2), (4, 2))
 ORACLE_GRID_FULL = ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (3, 3))
+_ORACLE_M_CAP = 12  # profiles stop at this size (or floor(N/2) if smaller)
 
 
 def _profile_row(graph, params, profile, mode) -> CheckResult:
@@ -549,7 +524,6 @@ def _profile_row(graph, params, profile, mode) -> CheckResult:
 def oracle_agreement_checks(
     budget: OracleBudget = DEFAULT_BUDGET,
     grid=ORACLE_GRID_FAST,
-    m_cap: int = 12,
 ) -> list[CheckResult]:
     """Unconstrained, connected and both-sides-connected minima all equal
     the closed form on small graphs, with verified witnesses."""
@@ -557,7 +531,7 @@ def oracle_agreement_checks(
     for arity, dim in grid:
         params = HammingParams(arity, dim)
         graph = hamming_graph(params)
-        max_m = min(m_cap, params.half_size)
+        max_m = min(_ORACLE_M_CAP, params.half_size)
         profiles = {}
         for mode in ("any", "connected", "bilateral"):
             profiles[mode] = brute_boundary_profile(graph, max_m, mode, budget)
@@ -577,6 +551,7 @@ def oracle_agreement_checks(
 # --- bijective connection transfer ----------------------------------------------
 
 BC_SEEDS = (7, 13, 42, 99, 2024)
+_BC_DIMS = (3, 4)
 
 
 def _bc_variants(dim: int):
@@ -587,13 +562,13 @@ def _bc_variants(dim: int):
 
 
 def bc_transfer_checks(
-    budget: OracleBudget = DEFAULT_BUDGET, dims=(3, 4), fast: bool = False
+    budget: OracleBudget = DEFAULT_BUDGET, fast: bool = False
 ) -> list[CheckResult]:
     """Both-sides-connected minima of every matching variant coincide with
     the binary Hamming values, and the 4-extra connectivity of the dim-4
     networks equals 4*4-8."""
     rows = []
-    for dim in dims:
+    for dim in _BC_DIMS:
         params = HammingParams(2, dim)
         half = 2 ** (dim - 1)
         for graph in _bc_variants(dim):
@@ -652,17 +627,11 @@ def _feasible_conditions(params: HammingParams):
         pass
 
 
-def two_part_checks(
-    budget: OracleBudget = DEFAULT_BUDGET,
-    graphs=TWO_PART_GRAPHS,
-    fast: bool = False,
-) -> list[CheckResult]:
+def two_part_checks(budget: OracleBudget = DEFAULT_BUDGET) -> list[CheckResult]:
     """Every minimum conditional cut splits the graph into exactly two
     qualifying parts, verified by exhausting multi-part alternatives."""
     rows = []
-    for arity, dim in graphs:
-        if fast and (arity, dim) == (2, 4):
-            continue
+    for arity, dim in TWO_PART_GRAPHS:
         params = HammingParams(arity, dim)
         graph = hamming_graph(params)
         for cond in _feasible_conditions(params):

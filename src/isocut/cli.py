@@ -223,10 +223,7 @@ def _verify_rows(scope: str, full: bool, budget: OracleBudget):
         yield from checks.table_one_checks()
         yield from checks.connectivity_grid_checks()
     if scope in ("lemmas", "all"):
-        if full:
-            yield from checks.monotonicity_checks()
-        else:
-            yield from checks.monotonicity_checks(offset_sample=200, floor_sample=2000)
+        yield from checks.monotonicity_checks()
         yield from checks.reduction_checks()
     if scope in ("oracle", "all"):
         grid = checks.ORACLE_GRID_FULL if full else checks.ORACLE_GRID_FAST

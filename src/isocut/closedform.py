@@ -42,10 +42,6 @@ class BaseDecomposition:
     terms: tuple[tuple[int, int], ...]
 
     @property
-    def value(self) -> int:
-        return sum(a * self.base**b for a, b in self.terms)
-
-    @property
     def coefficient_sum(self) -> int:
         return sum(a for a, _ in self.terms)
 

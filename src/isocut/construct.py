@@ -45,15 +45,6 @@ class SubLayer:
     prefix: tuple[int, ...]
     free_dims: int
 
-    def vertex_range(self, params: HammingParams) -> range:
-        if len(self.prefix) + self.free_dims != params.dim:
-            raise DomainError("prefix length plus free dimensions must equal dim")
-        start = 0
-        for d in self.prefix:
-            start = start * params.arity + d
-        size = params.arity**self.free_dims
-        return range(start * size, (start + 1) * size)
-
     def label(self, params: HammingParams) -> str:
         body = format_digits(self.prefix, params.arity)
         return body + "X" * self.free_dims if params.arity <= 10 else (

@@ -107,9 +107,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in sorted order."""
         for u, nbrs in enumerate(self.adjacency):
@@ -125,11 +122,6 @@ class Graph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks; the oracle's working representation."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
-
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
-        return len(components(self)) == 1
 
 
 def components(graph: Graph, within: Iterable[int] | None = None) -> list[list[int]]:

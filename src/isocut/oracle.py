@@ -725,23 +725,13 @@ def _min_degree(masks, value: int, mask: int, size: int, internal: int) -> bool:
 
 
 def _has_cycle(masks, mask: int, size: int, internal: int) -> bool:
-    # a connected side is non-forest iff it has >= |side| edges; for the
-    # general (possibly disconnected) case check per component
-    if internal >= size and _mask_connected(mask, masks):
-        return True
+    # a forest has exactly |side| - (its component count) edges
+    components = 0
     remaining = mask
     while remaining:
-        comp = _component(remaining & -remaining, remaining, masks)
-        edges = 0
-        probe = comp
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            edges += (masks[low.bit_length() - 1] & comp).bit_count()
-        if edges // 2 >= comp.bit_count():
-            return True
-        remaining &= ~comp
-    return False
+        remaining &= ~_component(remaining & -remaining, remaining, masks)
+        components += 1
+    return internal + components > size
 
 
 def _contains_layer(layers, mask: int, size: int, internal: int) -> bool:

@@ -79,7 +79,7 @@ def test_criterion_03_witness_consistency_sweep():
 def test_criterion_04_oracle_formula_agreement():
     rows = run_suite(
         lambda: checks.oracle_agreement_checks(
-            ORACLE_ACCEPTANCE_BUDGET, checks.ORACLE_GRID_FULL, m_cap=12
+            ORACLE_ACCEPTANCE_BUDGET, checks.ORACLE_GRID_FULL
         ),
         budget_s=900.0,
     )
@@ -101,6 +101,21 @@ def test_criterion_05_monotonicity_lemmas():
     }
 
 
+def test_criterion_05_floor_row_sees_every_size(monkeypatch):
+    # one block of K_10^8, far past where sizes used to be sampled, made one
+    # worse than the true least boundary above it
+    planted = (HammingParams(10, 8), 3 * 10**5)
+    true_boundary = checks.min_edge_boundary
+
+    def planted_boundary(m, params):
+        return true_boundary(m, params) + ((params, m) == planted)
+
+    monkeypatch.setattr(checks, "min_edge_boundary", planted_boundary)
+    rows = {r.name: r for r in checks.monotonicity_checks()}
+    assert rows["threshold-floor"].status == "fail"
+    assert rows["threshold-floor"].actual == ["K_10^8 threshold=300000"]
+
+
 def test_criterion_06_bc_network_transfer():
     rows = run_suite(
         lambda: checks.bc_transfer_checks(ORACLE_ACCEPTANCE_BUDGET, fast=False),
@@ -114,7 +129,7 @@ def test_criterion_06_bc_network_transfer():
 
 def test_criterion_07_two_part_optimality():
     rows = run_suite(
-        lambda: checks.two_part_checks(ORACLE_ACCEPTANCE_BUDGET, fast=False),
+        lambda: checks.two_part_checks(ORACLE_ACCEPTANCE_BUDGET),
         budget_s=600.0,
     )
     graphs = {r.name.split()[1] for r in rows}

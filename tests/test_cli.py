@@ -177,6 +177,17 @@ class TestVerify:
         assert payload["failures"] == 0
         assert all(c["status"] in ("pass", "fail", "note") for c in payload["checks"])
 
+    def test_lemma_rows_same_in_both_tiers(self, capsys):
+        # the lemma rows are exhaustive, so --full has nothing more to check
+        tiers = []
+        for extra in ((), ("--full",)):
+            code, out, _ = run(
+                capsys, "verify", "--scope", "lemmas", "--format", "json", *extra
+            )
+            assert code == 0
+            tiers.append(json.loads(out)["checks"])
+        assert tiers[0] == tiers[1]
+
     def test_failure_exit_4(self, capsys, monkeypatch):
         def fake_checks():
             return [CheckResult("rigged", "fail", expected=1, actual=2)]

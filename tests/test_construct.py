@@ -12,7 +12,7 @@ from isocut.construct import (
     sublayer_families,
 )
 from isocut.errors import DomainError
-from isocut.graphs import HammingParams, hamming_graph
+from isocut.graphs import HammingParams, encode, hamming_graph
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,14 @@ class TestSublayerFamilies:
             covered = []
             for fam in fams:
                 for layer in fam.layers:
-                    covered.extend(layer.vertex_range(p))
+                    # the layer is every vertex whose leading digits are its prefix
+                    fixed = len(layer.prefix)
+                    assert fixed + layer.free_dims == p.dim
+                    covered.extend(
+                        v
+                        for v in range(p.vertex_count)
+                        if encode(v, p)[:fixed] == layer.prefix
+                    )
             assert sorted(covered) == sorted(optimal_set(m, p))
 
     def test_labels(self):

@@ -71,7 +71,7 @@ class TestHammingGraph:
         assert g.vertex_count == 8
         assert g.edge_count == 12
         assert all(g.degree(v) == 3 for v in range(8))
-        assert g.neighbors(0) == (1, 2, 4)
+        assert g.adjacency[0] == (1, 2, 4)
         assert g.label == "hamming(2,3)"
 
     @pytest.mark.parametrize("arity,dim", [(2, 4), (3, 3), (5, 2)])
@@ -107,7 +107,7 @@ class TestBCNetwork:
             g = bc_network(dim, policy, seed=5)
             assert g.vertex_count == 2**dim
             assert all(g.degree(v) == dim for v in range(g.vertex_count))
-            assert g.is_connected()
+            assert len(components(g)) == 1
 
     def test_seed_determinism(self):
         a = bc_network(4, "seeded_random", seed=11)
@@ -142,7 +142,7 @@ class TestComponents:
 
     def test_empty_graph_not_connected(self):
         g = Graph(vertex_count=0, adjacency=())
-        assert not g.is_connected()
+        assert components(g) == []
 
 
 class TestEdgeListIO:

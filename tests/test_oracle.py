@@ -65,7 +65,7 @@ def reference_profile(graph, max_m, mode):
                 if len(components(graph, rest)) != 1:
                     continue
             cut = sum(
-                1 for v in combo for w in graph.neighbors(v) if w not in inside
+                1 for v in combo for w in graph.adjacency[v] if w not in inside
             )
             if best is None or cut < best[0]:
                 best = (cut, combo)
@@ -435,6 +435,36 @@ class TestConditionalOracle:
         q3 = hamming_graph(HammingParams(2, 3))
         with pytest.raises(DomainError):
             brute_extra_connectivity(q3, 0)
+
+
+def _edge_masks(n, edges):
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+class TestCyclePredicate:
+    @pytest.mark.parametrize(
+        "n,edges,cyclic",
+        [
+            (4, [(0, 1), (1, 2), (2, 3)], False),
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0)], True),
+            (6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], True),
+            (6, [(0, 1), (1, 2), (3, 4), (4, 5)], False),
+        ],
+        ids=["path", "C4", "path-and-triangle", "two-paths"],
+    )
+    def test_whole_vertex_set(self, n, edges, cyclic):
+        masks = _edge_masks(n, edges)
+        assert oracle._has_cycle(masks, (1 << n) - 1, n, len(edges)) is cyclic
+
+    def test_side_inside_a_larger_graph(self):
+        # path 0-1-2 plus triangle 3-4-5; dropping 5 leaves two paths
+        masks = _edge_masks(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+        assert not oracle._has_cycle(masks, 0b011111, 5, 3)
+        assert oracle._has_cycle(masks, 0b111000, 3, 3)
 
 
 class TestBipartiteProperty:
