@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -222,6 +223,8 @@ def _verify_rows(scope: str, full: bool, budget: OracleBudget):
     if scope in ("tables", "all"):
         yield from checks.table_one_checks()
         yield from checks.connectivity_grid_checks()
+        if full:
+            yield from checks.witness_sweep_checks()
     if scope in ("lemmas", "all"):
         yield from checks.monotonicity_checks()
         yield from checks.reduction_checks()
@@ -346,11 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--emit-graph", action="store_true")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=_env_int(ENV_VERTEX_CAP, DEFAULT_VERTEX_CAP),
-    )
+    p.add_argument("--max-vertices", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_run_construct)
 
@@ -360,11 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--full", action="store_true", help="multi-minute grids")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--max-subsets",
-        type=int,
-        default=_env_int(ENV_MAX_SUBSETS, OracleBudget().max_subsets),
-    )
+    p.add_argument("--max-subsets", type=int, default=None)
     p.add_argument("--max-vertices", type=int, default=OracleBudget().max_vertices)
     add_format(p)
     p.set_defaults(func=_run_verify)
@@ -377,19 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=MATCHING_POLICIES, default="identity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=_env_int(ENV_VERTEX_CAP, DEFAULT_VERTEX_CAP),
-    )
+    p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=_run_graph)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        # the parser reads the environment caps, so a bad value is an error too
-        args = build_parser().parse_args(argv)
+        # read on every call, so a bad value is an error for every subcommand
+        env_caps = {
+            "max_vertices": _env_int(ENV_VERTEX_CAP, DEFAULT_VERTEX_CAP),
+            "max_subsets": _env_int(ENV_MAX_SUBSETS, OracleBudget().max_subsets),
+        }
+        args = _parser().parse_args(argv)
+        for name, value in env_caps.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

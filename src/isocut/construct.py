@@ -10,12 +10,16 @@ evaluates arbitrary cuts on materialized graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
+from operator import getitem, sub
 from typing import Iterable, NamedTuple
 
 from .closedform import decompose
 from .errors import DomainError
-from .graphs import Graph, HammingParams, components, encode, format_digits
+from .graphs import Graph, HammingParams, _flood, encode, format_digits
 
 __all__ = [
     "SubLayer",
@@ -166,35 +170,44 @@ class CutReport:
         }
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # set flags -> complement flags
+
+
 def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     """Exact edge scan of the cut around ``vertex_set``.
 
-    The set must be a nonempty proper subset of the vertices. Component sizes
-    are reported for both sides even when connected.
+    The set must be a nonempty proper subset of the vertices; repeated ids
+    count once. Component sizes are reported for both sides even when
+    connected.
+
+    Membership is a ``bytearray`` of flags. The degree sum and the count of
+    adjacency entries landing inside the set (twice the internal edges) are
+    taken by ``map``/``chain`` over the members' rows, and each side's parts
+    by the flag-clearing BFS behind ``graphs.components``, so the work per
+    adjacency entry runs in C.
     """
-    side = frozenset(vertex_set)
-    if not side:
+    members = list(vertex_set)
+    if not members:
         raise DomainError("vertex set is empty")
-    if not all(0 <= v < graph.vertex_count for v in side):
+    n = graph.vertex_count
+    if min(members) < 0 or max(members) >= n:
         raise DomainError("vertex id out of range")
-    if len(side) == graph.vertex_count:
+    flags = bytearray(n)
+    for v in members:
+        flags[v] = 1
+    members = list(compress(range(n), flags))
+    if len(members) == n:
         raise DomainError("vertex set must be a proper subset")
-    internal = 0
-    cut = 0
-    for v in side:
-        for u in graph.adjacency[v]:
-            if u in side:
-                internal += 1
-            else:
-                cut += 1
-    internal //= 2
-    complement = [v for v in range(graph.vertex_count) if v not in side]
-    side_parts = tuple(len(c) for c in components(graph, side))
-    comp_parts = tuple(len(c) for c in components(graph, complement))
+    rows = list(map(graph.adjacency.__getitem__, members))
+    degree_sum = sum(map(len, rows))
+    inside = sum(map(getitem, repeat(flags), chain.from_iterable(rows)))
+    complement = flags.translate(_FLIP)
+    side_parts = tuple(map(len, _flood(graph.adjacency, flags)))
+    comp_parts = tuple(map(len, _flood(graph.adjacency, complement)))
     return CutReport(
-        set_size=len(side),
-        cut_size=cut,
-        internal_edges=internal,
+        set_size=len(members),
+        cut_size=degree_sum - inside,
+        internal_edges=inside // 2,
         side_connected=len(side_parts) == 1,
         complement_connected=len(comp_parts) == 1,
         set_component_sizes=side_parts,
@@ -213,11 +226,13 @@ class SweepRow(NamedTuple):
 class _UnionFind:
     __slots__ = ("parent", "groups")
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.groups = 0
+    def __init__(self, n: int, root: int) -> None:
+        """One group, rooted at ``root``, holding every vertex not yet added."""
+        self.parent = [root] * n
+        self.groups = 1
 
-    def add(self) -> None:
+    def add(self, v: int) -> None:
+        self.parent[v] = v
         self.groups += 1
 
     def find(self, v: int) -> int:
@@ -237,46 +252,62 @@ class _UnionFind:
 def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow]:
     """Cut census of every prefix {0..m-1} for m = 1..max_size in O(E) total.
 
-    One forward union-find pass tracks set-side connectivity, one backward
-    pass tracks complement connectivity, and the cut/internal counters update
-    incrementally as each vertex joins its side.
+    With sorted rows, ``earlier[v] = bisect_left(adjacency[v], v)`` counts the
+    neighbours below v, so vertex v adds ``earlier[v]`` internal edges and
+    ``degree - 2*earlier[v]`` to the cut as it joins the prefix.
+
+    Connectivity uses a certificate first. A prefix is connected while every
+    v > 0 in it has a smaller neighbour, and a suffix {m..N-1} while every
+    v < N-1 in it has a larger one. The forward union-find starts only at the
+    first v > 0 with no smaller neighbour, seeded with the connected prefix
+    before it as one group; the backward one starts only at the last
+    v < N-1 with no larger neighbour, seeded with the suffix after it.
+
+    Hamming graphs pass both: v > 0 reaches a smaller vertex by zeroing a
+    nonzero digit, and v < N-1 a larger one by raising a digit below
+    arity-1. So do BC networks, by induction on the level: each half is a
+    smaller BC network, and the matching joins the upper half's least vertex
+    to a smaller one and the lower half's greatest to a larger one. There
+    the union-finds never run; edge-list and relabelled graphs may need them.
     """
     n = graph.vertex_count
     if max_size is None:
         max_size = n // 2
     if not 1 <= max_size <= n - 1:
         raise DomainError(f"max_size must be in [1, {n - 1}], got {max_size}")
+    adjacency = graph.adjacency
+    earlier = list(map(bisect_left, adjacency, range(n)))
+    later = list(map(sub, map(len, adjacency), earlier))
+    internals = list(accumulate(earlier[:max_size]))
+    cuts = list(accumulate(map(sub, later[:max_size], earlier)))
 
-    forward = _UnionFind(n)
-    set_connected = []
-    cut = 0
-    internal = 0
-    cuts = []
-    internals = []
-    for v in range(max_size):
-        forward.add()
-        earlier = 0
-        for u in graph.adjacency[v]:
-            if u < v:
-                earlier += 1
-                forward.union(u, v)
-        internal += earlier
-        cut += graph.degree(v) - 2 * earlier
+    start = _index(earlier, 0, 1, max_size)
+    set_connected = [True] * start
+    forward = _UnionFind(n, 0)
+    for v in range(start, max_size):
+        forward.add(v)
+        for u in adjacency[v][: earlier[v]]:
+            forward.union(u, v)
         set_connected.append(forward.groups == 1)
-        cuts.append(cut)
-        internals.append(internal)
 
-    backward = _UnionFind(n)
-    suffix_connected = [False] * (max_size + 1)
-    for v in range(n - 1, -1, -1):
-        backward.add()
-        for u in graph.adjacency[v]:
-            if u > v:
-                backward.union(u, v)
-        if v <= max_size:
-            suffix_connected[v] = backward.groups == 1
+    # suffix_connected[m] tells whether {m..N-1} is connected, for m >= 1
+    stop = n - 1 - _index(later[::-1], 0, 1, n - 1)
+    suffix_connected = [True] * (n + 1)
+    backward = _UnionFind(n, n - 1)
+    for v in range(stop, 0, -1):
+        backward.add(v)
+        for u in adjacency[v][earlier[v] :]:
+            backward.union(u, v)
+        suffix_connected[v] = backward.groups == 1
 
-    return [
-        SweepRow(m, cuts[m - 1], internals[m - 1], set_connected[m - 1], suffix_connected[m])
-        for m in range(1, max_size + 1)
-    ]
+    # tuple.__new__ builds each row in C, skipping the NamedTuple's Python __new__
+    columns = zip(range(1, max_size + 1), cuts, internals, set_connected, suffix_connected[1:])
+    return list(map(partial(tuple.__new__, SweepRow), columns))
+
+
+def _index(values: list[int], value: int, start: int, stop: int) -> int:
+    """First index in [start, stop) holding ``value``, else ``stop``."""
+    try:
+        return values.index(value, start, stop)
+    except ValueError:
+        return stop

@@ -11,10 +11,13 @@ matching.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapError, DomainError
 
@@ -126,27 +129,40 @@ class Graph:
 
 def components(graph: Graph, within: Iterable[int] | None = None) -> list[list[int]]:
     """Connected components (sorted vertex lists) of the subgraph induced by
-    ``within``, or of the whole graph. Ordered by smallest member."""
+    ``within``, or of the whole graph. Ordered by smallest member.
+
+    Linear in the vertices and adjacency entries visited: see ``_flood``.
+    """
     if within is None:
-        pool = set(range(graph.vertex_count))
+        flags = bytearray(b"\x01") * graph.vertex_count
     else:
-        pool = set(within)
-    out: list[list[int]] = []
-    while pool:
-        root = min(pool)
-        pool.discard(root)
-        comp = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in graph.adjacency[v]:
-                if u in pool:
-                    pool.discard(u)
-                    comp.append(u)
-                    stack.append(u)
-        comp.sort()
-        out.append(comp)
-    return out
+        flags = bytearray(graph.vertex_count)
+        for v in within:
+            flags[v] = 1
+    return [sorted(part) for part in _flood(graph.adjacency, flags)]
+
+
+def _flood(adjacency: Sequence[Sequence[int]], flags: bytearray) -> Iterator[list[int]]:
+    """Components of the vertices whose flag is set, by least member; clears
+    the flags.
+
+    Roots are read in ascending order straight off the flags, so each part
+    starts at its least member and no pool is searched for a minimum. Each
+    part grows one BFS level at a time: the level's adjacency entries are
+    gathered into a set in C, so Python tests each reached vertex once, not
+    each entry. A part is returned unsorted.
+    """
+    for root in compress(range(len(flags)), flags):
+        flags[root] = 0
+        part = [root]
+        level = part
+        while level:
+            reached = set(chain.from_iterable(map(adjacency.__getitem__, level)))
+            level = [u for u in reached if flags[u]]
+            for u in level:
+                flags[u] = 0
+            part += level
+        yield part
 
 
 def _check_cap(n_vertices: int, max_vertices: int) -> None:
@@ -161,25 +177,69 @@ def hamming_graph(params: HammingParams, max_vertices: int = DEFAULT_VERTEX_CAP)
     """Materialize K_arity^dim.
 
     Vertex u is adjacent to u + (e - d) * arity**p for every digit position p
-    (current digit d) and every other digit value e.
+    (current digit d) and every other digit value e. Rows come out sorted
+    with no sort: see ``_hamming_rows``. Every entry is taken from one shared
+    ``ids = list(range(N))``, so all rows hold a single int object per
+    vertex.
     """
     n_vertices = params.vertex_count
     _check_cap(n_vertices, max_vertices)
-    arity, dim = params.arity, params.dim
-    adjacency = []
-    for v in range(n_vertices):
-        nbrs = []
-        power = 1
-        rest = v
-        for _ in range(dim):
-            d = rest % arity
-            base = v - d * power
-            nbrs.extend(base + e * power for e in range(arity) if e != d)
-            rest //= arity
-            power *= arity
-        nbrs.sort()
-        adjacency.append(tuple(nbrs))
-    return Graph(n_vertices, tuple(adjacency), label=f"hamming({arity},{dim})")
+    ids = list(range(n_vertices))
+    adjacency = tuple(_hamming_rows(params.arity, params.dim, ids))
+    return Graph(n_vertices, adjacency, label=f"hamming({params.arity},{params.dim})")
+
+
+def _hamming_rows(arity: int, dim: int, ids: list[int]) -> list[tuple[int, ...]]:
+    """Sorted neighbour rows of K_arity^dim, with entries taken from ``ids``.
+
+    A neighbour that lowers digit p by some amount is below every neighbour
+    that changes a lower digit only, and a neighbour that raises digit p is
+    above them: a change at position p moves the id by between arity**p and
+    (arity-1)*arity**p. Split the digits into a high part h and a low part r
+    of ``size = arity**low`` values, so v = h*size + r. Then the sorted row
+    of v is
+
+        [u*size + r for neighbours u < h of h in K_arity^(dim-low)]
+      + [h*size + w for neighbours w < r of r in K_arity^low]
+      + [h*size + w for neighbours w > r of r]
+      + [u*size + r for neighbours u > h of h],
+
+    each piece sorted. The outer pieces pick from the column
+    ``ids[r::size]``, the inner ones from the block
+    ``ids[h*size:(h+1)*size]``, through pickers built once from the two
+    smaller graphs' rows, so the per-entry work runs in C. For dim 1 (the
+    clique K_arity) each row is two slices of ``ids``.
+    """
+    if dim == 1:
+        return [(*ids[:v], *ids[v + 1 : arity]) for v in range(arity)]
+    low = dim // 2
+    size = arity**low
+    inner = [_split_pickers(row, r) for r, row in enumerate(_hamming_rows(arity, low, ids))]
+    columns = [ids[r::size] for r in range(size)]
+    rows = []
+    for h, row in enumerate(_hamming_rows(arity, dim - low, ids)):
+        below, above = _split_pickers(row, h)
+        block = ids[h * size : (h + 1) * size]
+        rows += [
+            (*below(column), *lower(block), *upper(block), *above(column))
+            for column, (lower, upper) in zip(columns, inner)
+        ]
+    return rows
+
+
+def _split_pickers(row: Sequence[int], v: int) -> tuple[Callable, Callable]:
+    """Pickers for the entries of the sorted ``row`` below and above ``v``."""
+    cut = bisect_left(row, v)
+    return _picker(row[:cut]), _picker(row[cut:])
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """seq -> the items of seq at the sorted ``positions``, as one sequence;
+    a slice when the positions are contiguous."""
+    if len(positions) > 1 and positions[-1] - positions[0] >= len(positions):
+        return itemgetter(*positions)
+    first = positions[0] if positions else 0
+    return itemgetter(slice(first, first + len(positions)))
 
 
 def bc_network(

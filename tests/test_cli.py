@@ -152,6 +152,14 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "--L", "2", "--n", "4", "--m", "3")
         assert code == 3
 
+    def test_env_cap_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("construct", "--L", "2", "--n", "4", "--m", "3")
+        monkeypatch.setenv("ISOCUT_VERTEX_CAP", "100")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("ISOCUT_VERTEX_CAP", "10")
+        assert run(capsys, *argv)[0] == 3
+        assert run(capsys, *argv, "--max-vertices", "16")[0] == 0
+
     @pytest.mark.parametrize("name", ["ISOCUT_VERTEX_CAP", "ISOCUT_MAX_SUBSETS"])
     def test_bad_env_value_exit_2(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
@@ -198,6 +206,14 @@ class TestVerify:
         assert code == 4
         assert "[FAIL] rigged" in out
         assert "verification failed" in err
+
+    def test_full_tables_run_the_witness_sweep(self, capsys, monkeypatch):
+        sentinel = CheckResult("witness-sweep sentinel", "pass", 1, 1)
+        monkeypatch.setattr(checks, "witness_sweep_checks", lambda: [sentinel])
+        for extra, seen in (((), False), (("--full",), True)):
+            code, out, _ = run(capsys, "verify", "--scope", "tables", *extra)
+            assert code == 0
+            assert ("witness-sweep sentinel" in out) is seen
 
     def test_budget_exit_3(self, capsys):
         code, _, err = run(

@@ -1,10 +1,15 @@
 """Optimal-set construction and materialized cut reports."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isocut import construct
 from isocut.closedform import decompose, max_degree_sum, min_edge_boundary
 from isocut.construct import (
+    CutReport,
     evaluate_cut,
     family_census,
     optimal_set,
@@ -12,12 +17,100 @@ from isocut.construct import (
     sublayer_families,
 )
 from isocut.errors import DomainError
-from isocut.graphs import HammingParams, encode, hamming_graph
+from isocut.graphs import (
+    HammingParams,
+    bc_network,
+    components,
+    encode,
+    hamming_graph,
+    parse_edge_list,
+)
 
 
 @pytest.fixture(scope="module")
 def q4():
     return hamming_graph(HammingParams(2, 4))
+
+
+def graph_from_edges(n, edges, label):
+    lines = [f"# vertices={n} edges={len(edges)} label={label}"]
+    lines += [f"{u} {v}" for u, v in sorted(edges)]
+    return parse_edge_list("\n".join(lines) + "\n")
+
+
+def relabelled(graph, seed):
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges()}
+    return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
+
+
+def pocket_graph():
+    """K6 core with three pendant triangles: vertex 5 has no larger neighbour."""
+    edges = list(itertools.combinations(range(6), 2))
+    for base in (6, 9, 12):
+        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
+    edges += [(0, 6), (1, 9), (2, 12)]
+    return graph_from_edges(15, edges, "pocket")
+
+
+def random_graph_with_late_isolated_vertex(seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u, v in itertools.combinations(range(24), 2) if rng.random() < 0.15]
+    return graph_from_edges(26, [(u, v) for u, v in edges if 20 not in (u, v)], "random")
+
+
+# graphs whose prefixes or suffixes fail the certificate, so the union-finds run
+UNION_FIND_GRAPHS = [
+    relabelled(hamming_graph(HammingParams(3, 2)), seed=1),
+    relabelled(hamming_graph(HammingParams(2, 4)), seed=2),
+    pocket_graph(),
+    random_graph_with_late_isolated_vertex(seed=3),
+]
+CERTIFIED_GRAPHS = [
+    hamming_graph(HammingParams(2, 5)),
+    hamming_graph(HammingParams(4, 3)),
+    hamming_graph(HammingParams(6, 1)),
+    *(bc_network(5, policy, seed=4) for policy in ("identity", "reversal", "seeded_random")),
+]
+
+
+def reference_sweep(graph, max_size):
+    """Each prefix counted afresh, its connectivity from ``components``."""
+    n = graph.vertex_count
+    rows = []
+    for m in range(1, max_size + 1):
+        entries = [u for v in range(m) for u in graph.adjacency[v]]
+        inside = sum(1 for u in entries if u < m)
+        rows.append(
+            (
+                m,
+                len(entries) - inside,
+                inside // 2,
+                len(components(graph, range(m))) == 1,
+                len(components(graph, range(m, n))) == 1,
+            )
+        )
+    return rows
+
+
+def frozenset_evaluate_cut(graph, vertex_set):
+    """Reference cut report: frozenset membership, one edge at a time."""
+    side = frozenset(vertex_set)
+    internal = cut = 0
+    for v in side:
+        for u in graph.adjacency[v]:
+            if u in side:
+                internal += 1
+            else:
+                cut += 1
+    complement = [v for v in range(graph.vertex_count) if v not in side]
+    side_parts = tuple(len(c) for c in components(graph, side))
+    comp_parts = tuple(len(c) for c in components(graph, complement))
+    return CutReport(
+        len(side), cut, internal // 2, len(side_parts) == 1, len(comp_parts) == 1,
+        side_parts, comp_parts,
+    )
 
 
 class TestOptimalSet:
@@ -117,6 +210,22 @@ class TestEvaluateCut:
     def test_duplicates_collapse(self, q4):
         assert evaluate_cut(q4, [0, 0, 1]).set_size == 2
 
+    def test_matches_frozenset_reference(self):
+        rng = random.Random(6)
+        for g in [*UNION_FIND_GRAPHS, *CERTIFIED_GRAPHS]:
+            n = g.vertex_count
+            for _ in range(30):
+                # repeated ids included; sets covering every vertex are skipped
+                vertices = [rng.randrange(n) for _ in range(rng.randrange(1, n + 1))]
+                if len(set(vertices)) < n:
+                    assert evaluate_cut(g, vertices) == frozenset_evaluate_cut(g, vertices)
+
+    def test_isolated_vertex_is_its_own_part(self):
+        g = random_graph_with_late_isolated_vertex(seed=3)
+        report = evaluate_cut(g, [20])
+        assert (report.cut_size, report.set_component_sizes) == (0, (1,))
+        assert not report.complement_connected
+
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=15))
     def test_cut_plus_internal_counts_every_edge(self, q4, vertices):
@@ -145,3 +254,28 @@ class TestPrefixSweep:
         g = hamming_graph(HammingParams(7, 1))
         rows = prefix_cut_sweep(g)
         assert [(r.size, r.cut_size) for r in rows] == [(1, 6), (2, 10), (3, 12)]
+
+    @pytest.mark.parametrize("graph", UNION_FIND_GRAPHS + CERTIFIED_GRAPHS, ids=lambda g: g.label)
+    def test_matches_per_prefix_reference(self, graph):
+        n = graph.vertex_count
+        for max_size in (None, n - 1, n // 3):
+            rows = prefix_cut_sweep(graph, max_size)
+            want = reference_sweep(graph, n // 2 if max_size is None else max_size)
+            assert [tuple(r) for r in rows] == want
+            assert all(type(r) is construct.SweepRow for r in rows)
+
+    def test_union_find_runs_only_past_the_certificate(self, monkeypatch):
+        unions = []
+        real_union = construct._UnionFind.union
+        monkeypatch.setattr(
+            construct._UnionFind,
+            "union",
+            lambda self, a, b: unions.append((a, b)) or real_union(self, a, b),
+        )
+        for graph in CERTIFIED_GRAPHS:
+            prefix_cut_sweep(graph, graph.vertex_count - 1)
+        assert unions == []
+        for graph in UNION_FIND_GRAPHS:
+            prefix_cut_sweep(graph, graph.vertex_count - 1)
+            assert unions, graph.label
+            unions.clear()

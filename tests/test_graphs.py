@@ -1,6 +1,7 @@
 """Graph construction, vertex codecs, and edge-list serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,57 @@ from isocut.graphs import (
     parse_edge_list,
     read_edge_list,
     write_edge_list,
+)
+
+
+def digit_loop_hamming(params):
+    """Reference builder: each vertex's neighbours from its digits by
+    ``%``/``//``, then a sort."""
+    arity, dim = params.arity, params.dim
+    adjacency = []
+    for v in range(params.vertex_count):
+        nbrs = []
+        power = 1
+        rest = v
+        for _ in range(dim):
+            d = rest % arity
+            base = v - d * power
+            nbrs.extend(base + e * power for e in range(arity) if e != d)
+            rest //= arity
+            power *= arity
+        nbrs.sort()
+        adjacency.append(tuple(nbrs))
+    return Graph(params.vertex_count, tuple(adjacency), label=f"hamming({arity},{dim})")
+
+
+def set_components(graph, within):
+    """Reference components: repeatedly flood from the least vertex left."""
+    pool = set(within)
+    out = []
+    while pool:
+        root = min(pool)
+        pool.discard(root)
+        comp, stack = [root], [root]
+        while stack:
+            for u in graph.adjacency[stack.pop()]:
+                if u in pool:
+                    pool.discard(u)
+                    comp.append(u)
+                    stack.append(u)
+        out.append(sorted(comp))
+    return out
+
+
+# Every K_L^n with at most 2*10^4 vertices and 4*10^5 adjacency entries,
+# cliques up to K_100, and the densest graph the witness sweep builds.
+BUILDER_GRID = sorted(
+    {
+        (arity, dim)
+        for dim in range(1, 15)
+        for arity in range(2, 101 if dim == 1 else 200)
+        if arity**dim <= 20_000 and arity**dim * (arity - 1) * dim <= 400_000
+    }
+    | {(100, 2)}
 )
 
 
@@ -93,6 +145,21 @@ class TestHammingGraph:
         with pytest.raises(CapError):
             hamming_graph(HammingParams(10, 4), max_vertices=1000)
 
+    def test_equals_digit_loop_reference(self):
+        for arity, dim in BUILDER_GRID:
+            p = HammingParams(arity, dim)
+            g, want = hamming_graph(p), digit_loop_hamming(p)
+            assert g.vertex_count == want.vertex_count, p
+            assert g.label == want.label, p
+            assert g.adjacency == want.adjacency, p
+
+    def test_entries_share_one_int_per_vertex(self):
+        g = hamming_graph(HammingParams(3, 6))  # ids past the small-int cache
+        first = {}
+        for row in g.adjacency:
+            for u in row:
+                assert first.setdefault(u, u) is u
+
 
 class TestBCNetwork:
     def test_identity_matching_is_hypercube(self):
@@ -143,6 +210,23 @@ class TestComponents:
     def test_empty_graph_not_connected(self):
         g = Graph(vertex_count=0, adjacency=())
         assert components(g) == []
+
+    def test_many_parts_match_set_reference(self):
+        g = hamming_graph(HammingParams(2, 10))
+        # even-weight vertices are independent; vertex 1 then joins nine of them
+        independent = [v for v in range(1, 1024) if bin(v).count("1") % 2 == 0]
+        for within, count in ((independent, 511), (independent + [1], 503)):
+            parts = components(g, within)
+            assert parts == set_components(g, within)
+            assert len(parts) == count
+
+    def test_random_sets_match_set_reference(self):
+        rng = random.Random(4)
+        for g in (bc_network(5, "seeded_random", seed=2), hamming_graph(HammingParams(3, 3))):
+            n = g.vertex_count
+            for _ in range(40):
+                within = [rng.randrange(n) for _ in range(rng.randrange(1, 2 * n))]
+                assert components(g, within) == set_components(g, within)
 
 
 class TestEdgeListIO:
