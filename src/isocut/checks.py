@@ -607,7 +607,7 @@ def bc_transfer_checks(
 
 # --- two-part structure of minimum conditional cuts ------------------------------
 
-TWO_PART_GRAPHS = ((2, 3), (2, 4), (3, 2))
+TWO_PART_GRAPHS = ((2, 3), (2, 4), (3, 2), (4, 2))
 
 
 def _feasible_conditions(params: HammingParams):

@@ -133,7 +133,7 @@ def test_criterion_07_two_part_optimality():
         budget_s=600.0,
     )
     graphs = {r.name.split()[1] for r in rows}
-    assert graphs == {"K_2^3", "K_2^4", "K_3^2"}
+    assert graphs == {"K_2^3", "K_2^4", "K_3^2", "K_4^2"}
 
 
 def test_criterion_08_reduced_form_agreement():

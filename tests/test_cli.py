@@ -215,6 +215,18 @@ class TestVerify:
             assert code == 0
             assert ("witness-sweep sentinel" in out) is seen
 
+    def test_oracle_scope_runs_two_part_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--scope", "oracle", "--format", "json"
+        )
+        assert code == 0
+        two_part = [
+            c for c in json.loads(out)["checks"] if c["name"].startswith("two-part ")
+        ]
+        graphs = {c["name"].split()[1] for c in two_part}
+        assert graphs == {f"K_{a}^{d}" for a, d in checks.TWO_PART_GRAPHS}
+        assert all(c["status"] == "pass" for c in two_part)
+
     def test_budget_exit_3(self, capsys):
         code, _, err = run(
             capsys, "verify", "--scope", "oracle", "--max-subsets", "10"

@@ -121,6 +121,29 @@ class TestAgainstReference:
                 got = brute_boundary_profile(graph, 4, mode=mode)
                 assert got == reference_profile(graph, 4, mode), (seed, mode)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            partial(hamming_graph, HammingParams(2, 3)),
+            partial(bc_network, 4, "seeded_random", seed=7),
+        ],
+        ids=["q3-certified", "bc4-seed7-not-certified"],
+    )
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_single_vertex_sets(self, make, chunks):
+        graph = make()
+        budget = OracleBudget(parallel_chunks=chunks)
+        for mode in ("any", "connected", "bilateral"):
+            got = brute_boundary_profile(graph, 1, mode=mode, budget=budget)
+            assert got == reference_profile(graph, 1, mode), mode
+        for mode, brute in (
+            ("connected", brute_min_boundary_connected),
+            ("bilateral", brute_min_boundary_bilateral),
+        ):
+            (want,) = reference_profile(graph, 1, mode)
+            r = brute(graph, 1, budget=budget)
+            assert (r.optimum, r.witness, r.atom_size) == (*want, 1), mode
+
     def test_pocket_mode_separation(self):
         graph = pocket_graph()
         any6 = brute_boundary_profile(graph, 6, mode="any")[5]
@@ -196,6 +219,25 @@ def _conditional_cell(arity, dim, cond):
     return run
 
 
+def partition_minima(graph, cond, params, cut_budget, budget=oracle.DEFAULT_BUDGET):
+    """The (min_cut, part_counts, achiever_count) of the oracle's partition scan."""
+    pred = oracle._side_predicate(cond, params, graph)
+    return oracle._partition_minima(
+        graph, pred, cut_budget, cond.kind == "isoperimetric", budget
+    )
+
+
+def _two_part_cell(arity, dim, cond):
+    def run(budget):
+        p = HammingParams(arity, dim)
+        graph = hamming_graph(p)
+        holds = bipartite_property_check(graph, cond, params=p, budget=budget)
+        optimum = brute_conditional(graph, cond, params=p).optimum
+        return holds, partition_minima(graph, cond, p, optimum, budget)
+
+    return run
+
+
 DETERMINISM_CELLS = [
     (
         "bilateral-q4",
@@ -214,6 +256,8 @@ DETERMINISM_CELLS = [
     ("cyclic-q4", _conditional_cell(2, 4, ConditionKind.cyclic()), 2),
     ("super-k32", _conditional_cell(3, 2, ConditionKind.super_degree(2)), 2),
     ("embedded1-q3", _conditional_cell(2, 3, ConditionKind.embedded(1)), 2),
+    ("two-part-cyclic-q4", _two_part_cell(2, 4, ConditionKind.cyclic()), 2),
+    ("two-part-isoperimetric3-k42", _two_part_cell(4, 2, ConditionKind.isoperimetric(3)), 2),
 ]
 
 
@@ -288,6 +332,32 @@ class TestBudgets:
     def test_cap_at_exact_state_count_not_transitive(self, chunks):
         # every connected set of size <= 8: the certificate rejects this graph
         assert_cap_is_exact(bc_network(4, "seeded_random", seed=7), 15910, chunks)
+
+
+class TestPartitionBudget:
+    # on K_2^4 the cyclic bipartition search walks the 6593 connected sets up
+    # to size 8 that contain vertex 0; the scan of partitions into connected
+    # cyclic parts then takes 27905 states, counted against a budget of its own
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_partition_scan_is_capped(self, chunks):
+        graph = hamming_graph(HammingParams(2, 4))
+        cond = ConditionKind.cyclic()
+        budget = OracleBudget(max_subsets=6593, parallel_chunks=chunks)
+        assert brute_conditional(graph, cond, budget=budget).subsets_visited == 6593
+        with pytest.raises(SubsetBudgetError):
+            bipartite_property_check(graph, cond, budget=budget)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_cap_at_exact_state_count(self, chunks):
+        graph = hamming_graph(HammingParams(2, 4))
+        cond = ConditionKind.cyclic()
+        assert bipartite_property_check(
+            graph, cond, budget=OracleBudget(max_subsets=27905, parallel_chunks=chunks)
+        )
+        with pytest.raises(SubsetBudgetError):
+            bipartite_property_check(
+                graph, cond, budget=OracleBudget(max_subsets=27904, parallel_chunks=chunks)
+            )
 
 
 def q4_connected_result(max_subsets, chunks):
@@ -601,3 +671,116 @@ class TestRootZeroReduction:
         monkeypatch.setattr(oracle, "_translation_transitive", lambda graph: False)
         full = [brute_boundary_profile(graph, max_m, mode) for mode in modes]
         assert reduced == full
+
+
+# --- partition scan against a direct enumeration of set partitions --------------
+
+def set_partitions(n):
+    """Every partition of range(n), as a list of blocks (Bell(n) of them)."""
+    blocks = []
+
+    def place(v):
+        if v == n:
+            yield [tuple(block) for block in blocks]
+            return
+        for block in blocks:
+            block.append(v)
+            yield from place(v + 1)
+            block.pop()
+        blocks.append([v])
+        yield from place(v + 1)
+        blocks.pop()
+
+    yield from place(0)
+
+
+def reference_part_ok(graph, cond, params, block):
+    """Whether one part qualifies, from sets and the definitions alone."""
+    inside = set(block)
+    if cond.kind != "isoperimetric" and len(components(graph, block)) != 1:
+        return False
+    degrees = [sum(w in inside for w in graph.adjacency[v]) for v in block]
+    internal = sum(degrees) // 2
+    kind, value = cond.kind, cond.value
+    if kind in ("extra", "isoperimetric"):
+        return len(block) >= value
+    if kind == "super":
+        return min(degrees) >= value
+    if kind == "average":
+        return 2 * internal >= value * len(block)
+    if kind == "cyclic":
+        return internal >= len(block)  # a connected part with a cycle
+    assert kind == "embedded"
+    # some axis sub-layer of dimension value: the vertices that agree with
+    # one vertex of the part on every digit outside `free` lie in the part
+    arity, dim = params.arity, params.dim
+
+    def digits(v):
+        return [v // arity**p % arity for p in range(dim)]
+
+    for free in itertools.combinations(range(dim), value):
+        fixed = [p for p in range(dim) if p not in free]
+        for v in block:
+            dv = digits(v)
+            layer = [u for u in range(graph.vertex_count)
+                     if all(digits(u)[p] == dv[p] for p in fixed)]
+            if inside.issuperset(layer):
+                return True
+    return False
+
+
+def reference_partition_minima(graph, cond, params, cut_budget, partitions):
+    """(min_cut, part_counts, achiever_count) over the partitions into >= 2
+    qualifying parts with cut <= cut_budget."""
+    ok = {}
+    best, counts, hits = None, set(), 0
+    for blocks, cut in partitions:
+        if len(blocks) < 2 or cut > cut_budget:
+            continue
+        for block in blocks:
+            if block not in ok:
+                ok[block] = reference_part_ok(graph, cond, params, block)
+        if not all(ok[block] for block in blocks):
+            continue
+        if best is None or cut < best:
+            best, counts, hits = cut, {len(blocks)}, 1
+        elif cut == best:
+            counts.add(len(blocks))
+            hits += 1
+    return best, counts, hits
+
+
+PARTITION_GRAPHS = [
+    ("q3", partial(hamming_graph, HammingParams(2, 3)), HammingParams(2, 3)),
+    ("k32", partial(hamming_graph, HammingParams(3, 2)), HammingParams(3, 2)),
+    ("k32-relabelled", lambda: relabelled(hamming_graph(HammingParams(3, 2)), seed=1), None),
+    ("bc3-seed13", partial(bc_network, 3, "seeded_random", seed=13), None),
+    # three components: the least cuts (0) split in two or three parts, and
+    # the scan finds them in different tasks
+    ("three-components",
+     lambda: graph_from_edges(7, [(1, 2), (1, 3), (1, 6), (4, 5)], "three-components"),
+     None),
+]
+
+
+class TestPartitionScanAgainstReference:
+    @pytest.mark.parametrize(
+        "make,params", [g[1:] for g in PARTITION_GRAPHS], ids=[g[0] for g in PARTITION_GRAPHS]
+    )
+    def test_every_condition(self, make, params):
+        graph = make()
+        edges = list(graph.edges())
+        partitions = []
+        for blocks in set_partitions(graph.vertex_count):
+            where = {v: k for k, block in enumerate(blocks) for v in block}
+            partitions.append((blocks, sum(where[u] != where[v] for u, v in edges)))
+        for cond in condition_grid(graph, params):
+            budgets = [graph.edge_count]  # every qualifying partition
+            try:
+                budgets.append(brute_conditional(graph, cond, params=params).optimum)
+            except InfeasibleError:
+                pass
+            for cut_budget in budgets:
+                want = reference_partition_minima(graph, cond, params, cut_budget, partitions)
+                got = partition_minima(graph, cond, params, cut_budget)
+                assert got == want, (cond.describe(), cut_budget)
