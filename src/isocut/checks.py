@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .closedform import (
     ConditionKind,
@@ -30,7 +30,7 @@ from .closedform import (
 )
 from .construct import evaluate_cut, prefix_cut_sweep
 from .errors import DomainError
-from .graphs import HammingParams, bc_network, hamming_graph
+from .graphs import MATCHING_POLICIES, HammingParams, bc_network, hamming_graph
 from .oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -288,12 +288,13 @@ def monotonicity_checks() -> list[CheckResult]:
     """The staircase structure of the boundary function, checked cellwise.
 
     Covers: the split identity for degree sums; unit steps never decrease
-    below the square-root threshold; whole-block steps, within-block offsets
-    and power steps never decrease; the floor property (no m above a block
-    beats the block value); and the block formula agreeing with the general
-    one. Every row is exhaustive on the whole grid: the offset and floor rows
-    compare a block's boundary with the digit DP's least boundary over all
-    larger sizes up to floor(N/2), which is exact however many sizes that is.
+    below the square-root threshold; whole-block and power steps never
+    decrease; the floor property (no m at or above a block, offsets inside
+    it included, beats the block value); and the block formula agreeing with
+    the general one. Every row is exhaustive on the whole grid: the floor row
+    compares a block's boundary with the digit DP's least boundary over all
+    sizes from it up to floor(N/2), which is exact however many sizes that
+    is.
     """
     rows = []
 
@@ -360,30 +361,6 @@ def monotonicity_checks() -> list[CheckResult]:
             "fail" if bad else "pass",
             "boundary never decreases block to block",
             bad[:5] or f"{count} steps",
-        )
-    )
-
-    # offsets inside a block never drop below the block value: the least
-    # boundary over every size past g*arity^t covers all offsets 1..arity^t-1
-    # (t = 0 has none; for t <= dim-2 the block's end stays within N/2)
-    bad = []
-    count = 0
-    for params in _grid():
-        arity = params.arity
-        for t in range(1, params.dim - 1):
-            for g in range(1, arity):
-                block = g * arity**t
-                count += 1
-                if _min_boundary_from(block + 1, params) < min_edge_boundary(
-                    block, params
-                ):
-                    bad.append(f"{params} g={g} t={t}")
-    rows.append(
-        CheckResult(
-            "offset-dominates-block",
-            "fail" if bad else "pass",
-            "offset inside a block never beats the block boundary",
-            bad[:5] or f"{count} blocks",
         )
     )
 
@@ -552,6 +529,7 @@ def oracle_agreement_checks(
 
 BC_SEEDS = (7, 13, 42, 99, 2024)
 _BC_DIMS = (3, 4)
+_BC_STRUCTURE_DIMS = (10, 12)
 
 
 def _bc_variants(dim: int):
@@ -561,10 +539,38 @@ def _bc_variants(dim: int):
         yield bc_network(dim, "seeded_random", seed=seed)
 
 
+def _bc_structure_row(graph) -> CheckResult:
+    """Whether ``graph`` is a BC network, read off its adjacency alone.
+
+    A graph on 2^n vertices is one iff its rows are symmetric and every
+    vertex v has exactly one neighbour u at each level
+    ``(u ^ v).bit_length()`` in 1..n. Then the level-k edges are a perfect
+    matching between the two halves of every block of 2^k ids, so each
+    block is two BC networks one level down joined by a perfect matching.
+    """
+    n_vertices = graph.vertex_count
+    dim = n_vertices.bit_length() - 1
+    levels = list(range(1, dim + 1))
+    bad = [] if n_vertices == 1 << dim else [f"{n_vertices} vertices, not a power of 2"]
+    arcs = set()
+    for v, row in enumerate(graph.adjacency):
+        arcs.update(zip(repeat(v), row))
+        if sorted((u ^ v).bit_length() for u in row) != levels:
+            bad.append(f"v={v}: neighbours {list(row)}")
+    bad += [f"{v}->{u} has no {u}->{v}" for v, u in sorted(arcs) if (u, v) not in arcs]
+    return CheckResult(
+        f"bc-structure {graph.label}",
+        "fail" if bad else "pass",
+        "symmetric rows, one neighbour per level",
+        bad[:5] or f"levels 1..{dim} at {n_vertices} vertices",
+    )
+
+
 def bc_transfer_checks(
     budget: OracleBudget = DEFAULT_BUDGET, fast: bool = False
 ) -> list[CheckResult]:
-    """Both-sides-connected minima of every matching variant coincide with
+    """Every matching variant, and each policy at dims 10 and 12, is a BC
+    network; the both-sides-connected minima of every variant coincide with
     the binary Hamming values, and the 4-extra connectivity of the dim-4
     networks equals 4*4-8."""
     rows = []
@@ -572,6 +578,7 @@ def bc_transfer_checks(
         params = HammingParams(2, dim)
         half = 2 ** (dim - 1)
         for graph in _bc_variants(dim):
+            rows.append(_bc_structure_row(graph))
             if fast and dim == 4 and "identity" not in graph.label:
                 continue
             profile = brute_boundary_profile(graph, half, "bilateral", budget)
@@ -602,6 +609,9 @@ def bc_transfer_checks(
                         "both equal 4*4-8",
                     )
                 )
+    for dim in _BC_STRUCTURE_DIMS:
+        for policy in MATCHING_POLICIES:
+            rows.append(_bc_structure_row(bc_network(dim, policy)))
     return rows
 
 

@@ -5,7 +5,15 @@ vertices; vertex ids are read as L-base n-digit strings (most significant
 digit first), and two vertices are adjacent iff their strings differ in
 exactly one position. Bijective-connection (BC) networks are built by
 recursive doubling: two copies of the previous level joined by a perfect
-matching.
+matching. So the level-k matching joins the two halves of every block of
+2^(k+1) ids, and a BC row sorts like a hypercube row: the partners at the
+levels where the vertex has a 1 bit, highest level first, then those where
+it has a 0 bit, lowest level first.
+
+Both builders split the id's digits (or bits) into a high and a low part
+and write each sorted row straight from pickers (``itemgetter`` objects or
+slices) built once per part, so the per-entry work runs in C and every
+entry is the one int object of a shared ``list(range(N))``.
 """
 
 from __future__ import annotations
@@ -234,9 +242,10 @@ def _split_pickers(row: Sequence[int], v: int) -> tuple[Callable, Callable]:
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """seq -> the items of seq at the sorted ``positions``, as one sequence;
-    a slice when the positions are contiguous."""
-    if len(positions) > 1 and positions[-1] - positions[0] >= len(positions):
+    """seq -> the items of seq at the ``positions``, sorted ascending or
+    descending, in that order, as one sequence; a slice when they ascend
+    contiguously."""
+    if len(positions) > 1 and positions[-1] - positions[0] != len(positions) - 1:
         return itemgetter(*positions)
     first = positions[0] if positions else 0
     return itemgetter(slice(first, first + len(positions)))
@@ -259,6 +268,12 @@ def bc_network(
     * ``seeded_random``: a uniformly shuffled matching per level, drawn from
       CPython's ``random.Random(seed)`` (Mersenne Twister, Fisher-Yates
       shuffle), so graphs are reproducible given the seed.
+
+    Since later levels copy the whole graph, the matching M drawn when the
+    size is 2^k joins the two halves of every block of 2^(k+1) ids. Rows
+    come out sorted with no sort: see ``_bc_rows``. Every entry is taken
+    from one shared ``ids = list(range(N))``, so all rows hold a single int
+    object per vertex.
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
@@ -266,28 +281,74 @@ def bc_network(
         raise DomainError(f"unknown matching policy {matching_policy!r}")
     _check_cap(2**dim, max_vertices)
     rng = random.Random(seed) if matching_policy == "seeded_random" else None
-    adjacency: list[list[int]] = [[1], [0]]
-    for _ in range(dim - 1):
-        size = len(adjacency)
+    patterns = []
+    for k in range(dim):
+        size = 2**k
         if matching_policy == "identity":
             matching = range(size)
         elif matching_policy == "reversal":
             matching = range(size - 1, -1, -1)
         else:
-            perm = list(range(size))
-            rng.shuffle(perm)
-            matching = perm
-        doubled = [list(nbrs) for nbrs in adjacency]
-        doubled.extend([u + size for u in nbrs] for nbrs in adjacency)
-        for i, j in enumerate(matching):
-            doubled[i].append(size + j)
-            doubled[size + j].append(i)
-        adjacency = doubled
+            matching = list(range(size))
+            rng.shuffle(matching)
+        inverse = sorted(range(size), key=matching.__getitem__)
+        patterns.append([*map(size.__add__, matching), *inverse])
+    ids = list(range(2**dim))
     label = f"bc({dim},{matching_policy}"
     if matching_policy == "seeded_random":
         label += f",seed={seed}"
     label += ")"
-    return Graph(len(adjacency), tuple(tuple(sorted(n)) for n in adjacency), label=label)
+    return Graph(len(ids), tuple(_bc_rows(patterns, ids)), label=label)
+
+
+def _bc_rows(patterns: list[list[int]], ids: list[int]) -> list[tuple[int, ...]]:
+    """Sorted neighbour rows of the BC network whose level-k partner pattern
+    is ``patterns[k]``, with entries taken from ``ids``.
+
+    ``patterns[k]`` maps each position of a block of 2^(k+1) ids to its
+    partner's position: r < 2^k to 2^k + M[r], and 2^k + j to M^-1[j]. The
+    level-k partner u of v lies in the other half of v's block, so u < v
+    iff bit k of v is 1, and the partners on either side are ordered by
+    level: the sorted row of v is its partners at the levels where bit k is
+    1, in descending k, then those where it is 0, in ascending k (the
+    hypercube's order).
+
+    Split the levels at ``low = dim // 2``, so v = h*size + r with
+    ``size = 2**low``. Each size-block is a copy of the dim-low network, so
+    the middle of v's row (its partners below level low) is that network's
+    row r inside the block ``ids[h*size:(h+1)*size]``; one ``itemgetter``
+    per row position, built once, takes that position for every r of a
+    block. Each
+    level k >= low is one partner list over all ids, one ``itemgetter`` per
+    block of 2^(k+1). Which of those lists go below the middle and which
+    above depends on h only, so the rows of block h are one ``zip`` of their
+    slices and the middle columns, in row order, and the per-entry work runs
+    in C. For dim 1 the rows are two single ids.
+    """
+    dim = len(patterns)
+    if dim == 1:
+        return [(ids[1],), (ids[0],)]
+    low = dim // 2
+    size = 2**low
+    n_vertices = 2**dim
+    middle = [itemgetter(*column) for column in zip(*_bc_rows(patterns[:low], ids))]
+    partners = []
+    for k in range(low, dim):
+        width = 2 ** (k + 1)
+        pick = itemgetter(*patterns[k])
+        blocks = (ids[b : b + width] for b in range(0, n_vertices, width))
+        partners.append(list(chain.from_iterable(map(pick, blocks))))
+    high = range(dim - low)
+    rows = []
+    for h in range(n_vertices // size):
+        start, end = h * size, (h + 1) * size
+        block = ids[start:end]
+        rows += zip(
+            *[partners[j][start:end] for j in reversed(high) if h >> j & 1],
+            *[column(block) for column in middle],
+            *[partners[j][start:end] for j in high if not h >> j & 1],
+        )
+    return rows
 
 
 # --- edge-list text format ---------------------------------------------------

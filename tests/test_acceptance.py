@@ -12,7 +12,7 @@ import pytest
 
 from isocut import checks
 from isocut.closedform import max_degree_sum, min_edge_boundary
-from isocut.graphs import HammingParams
+from isocut.graphs import Graph, HammingParams, bc_network, hamming_graph
 from isocut.oracle import OracleBudget
 
 ORACLE_ACCEPTANCE_BUDGET = OracleBudget(
@@ -94,7 +94,6 @@ def test_criterion_05_monotonicity_lemmas():
         "degree-sum-split",
         "unit-step-monotone",
         "block-step-monotone",
-        "offset-dominates-block",
         "power-step-monotone",
         "threshold-floor",
         "block-formula-consistency",
@@ -125,6 +124,25 @@ def test_criterion_06_bc_network_transfer():
     extra4 = [r for r in rows if r.name.startswith("bc-extra-4")]
     assert len(extra4) == 7
     assert all(r.expected == (8, 8) for r in extra4)
+    # the 14 variants and each policy at dims 10 and 12 are BC networks
+    structure = [r.name for r in rows if r.name.startswith("bc-structure ")]
+    assert len(structure) == 14 + 6
+    assert "bc-structure bc(12,seeded_random,seed=0)" in structure
+
+
+def test_criterion_06_structure_rejects_non_bc_graphs():
+    assert checks._bc_structure_row(hamming_graph(HammingParams(3, 2))).status == "fail"
+    # move the level-3 edge 0-4 to 0-5 inside the lower half: still
+    # symmetric, and vertex 0 still has one neighbour per level
+    edges = set(bc_network(4).edges()) - {(0, 4)} | {(0, 5)}
+    rows = [[] for _ in range(16)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    moved = Graph(16, tuple(map(tuple, map(sorted, rows))), label="moved")
+    row = checks._bc_structure_row(moved)
+    assert row.status == "fail"
+    assert row.actual == ["v=4: neighbours [5, 6, 12]", "v=5: neighbours [0, 1, 4, 7, 13]"]
 
 
 def test_criterion_07_two_part_optimality():

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from isocut.errors import CapError, DomainError
 from isocut.graphs import (
+    MATCHING_POLICIES,
     Graph,
     HammingParams,
+    _picker,
     bc_network,
     components,
     decode,
@@ -43,6 +45,34 @@ def digit_loop_hamming(params):
     return Graph(params.vertex_count, tuple(adjacency), label=f"hamming({arity},{dim})")
 
 
+def doubling_bc(dim, matching_policy="identity", seed=0):
+    """Reference builder: recursive doubling, shifting the upper copy entry
+    by entry, then a sort of every row."""
+    rng = random.Random(seed) if matching_policy == "seeded_random" else None
+    adjacency = [[1], [0]]
+    for _ in range(dim - 1):
+        size = len(adjacency)
+        if matching_policy == "identity":
+            matching = range(size)
+        elif matching_policy == "reversal":
+            matching = range(size - 1, -1, -1)
+        else:
+            perm = list(range(size))
+            rng.shuffle(perm)
+            matching = perm
+        doubled = [list(nbrs) for nbrs in adjacency]
+        doubled.extend([u + size for u in nbrs] for nbrs in adjacency)
+        for i, j in enumerate(matching):
+            doubled[i].append(size + j)
+            doubled[size + j].append(i)
+        adjacency = doubled
+    label = f"bc({dim},{matching_policy}"
+    if matching_policy == "seeded_random":
+        label += f",seed={seed}"
+    label += ")"
+    return Graph(len(adjacency), tuple(tuple(sorted(n)) for n in adjacency), label=label)
+
+
 def set_components(graph, within):
     """Reference components: repeatedly flood from the least vertex left."""
     pool = set(within)
@@ -72,6 +102,16 @@ BUILDER_GRID = sorted(
     }
     | {(100, 2)}
 )
+
+
+# Every policy on dims 1-12 at four seeds, and the largest networks the
+# bc-transfer benchmark sweeps.
+BC_GRID = [
+    (dim, policy, seed)
+    for dim in range(1, 13)
+    for policy in MATCHING_POLICIES
+    for seed in (0, 1, 7, 12345)
+] + [(14, "identity", 0), (15, "reversal", 0), (16, "seeded_random", 0)]
 
 
 class TestHammingParams:
@@ -161,7 +201,41 @@ class TestHammingGraph:
                 assert first.setdefault(u, u) is u
 
 
+class TestPicker:
+    @pytest.mark.parametrize(
+        "positions,want",
+        [
+            ([], ""),
+            ([2], "c"),
+            ([1, 2, 3], "bcd"),
+            ([0, 2, 3], "acd"),
+            ([2, 1, 0], "cba"),
+            ([3, 2], "dc"),
+        ],
+    )
+    def test_items_in_the_given_order(self, positions, want):
+        assert "".join(_picker(positions)("abcde")) == want
+
+
 class TestBCNetwork:
+    def test_equals_doubling_reference(self):
+        for dim, policy, seed in BC_GRID:
+            g, want = bc_network(dim, policy, seed), doubling_bc(dim, policy, seed)
+            assert g.vertex_count == want.vertex_count, (dim, policy, seed)
+            assert g.label == want.label, (dim, policy, seed)
+            assert g.adjacency == want.adjacency, (dim, policy, seed)
+
+    def test_entries_share_one_int_per_vertex(self):
+        g = bc_network(10, "seeded_random", seed=3)  # ids past the small-int cache
+        first = {}
+        for row in g.adjacency:
+            for u in row:
+                assert first.setdefault(u, u) is u
+
+    def test_vertex_cap(self):
+        with pytest.raises(CapError):
+            bc_network(11, max_vertices=1000)
+
     def test_identity_matching_is_hypercube(self):
         for dim in (1, 2, 3, 4, 5):
             b = bc_network(dim, "identity")
