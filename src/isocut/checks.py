@@ -74,6 +74,12 @@ def _row(name, expected, actual, detail="") -> CheckResult:
     return CheckResult(name, status, expected, actual, detail)
 
 
+def _listed_row(name, expected, bad, summary) -> CheckResult:
+    """A row that fails iff `bad` lists a problem; its actual value is the
+    first five problems, or `summary` when there are none."""
+    return CheckResult(name, "fail" if bad else "pass", expected, bad[:5] or summary)
+
+
 # --- golden boundary table -----------------------------------------------------
 #
 # (arity, dim, m) -> (max degree sum, boundary). All five confirmed by
@@ -180,12 +186,11 @@ def connectivity_grid_checks() -> list[CheckResult]:
             if got != want_cyc:
                 bad.append(f"cyclic: {got}!={want_cyc}")
         rows.append(
-            CheckResult(
+            _listed_row(
                 f"connectivity-grid {params}",
-                "fail" if bad else "pass",
                 "all conditions match closed forms",
-                bad or f"{checked} conditions",
-                "; ".join(bad[:4]),
+                bad,
+                f"{checked} conditions",
             )
         )
     return rows
@@ -217,12 +222,11 @@ def _witness_sweep_row(params: HammingParams) -> CheckResult:
                 f"{sweep.internal_edges}/{want_internal} conn "
                 f"{sweep.side_connected},{sweep.complement_connected}"
             )
-    return CheckResult(
+    return _listed_row(
         f"witness-sweep {params}",
-        "fail" if bad else "pass",
         "cut=boundary, internal=degree-sum/2, both sides connected",
-        bad or f"{half} prefix sizes exact",
-        "; ".join(bad[:3]),
+        bad,
+        f"{half} prefix sizes exact",
     )
 
 
@@ -312,11 +316,11 @@ def monotonicity_checks() -> list[CheckResult]:
                 if degree_sum_split(h1, h2, params) != max_degree_sum(total, params):
                     bad.append(f"{params} {h1}+{h2}")
     rows.append(
-        CheckResult(
+        _listed_row(
             "degree-sum-split",
-            "fail" if bad else "pass",
             "split sum equals direct degree sum",
-            bad[:5] or f"{count} splits",
+            bad,
+            f"{count} splits",
         )
     )
 
@@ -333,11 +337,11 @@ def monotonicity_checks() -> list[CheckResult]:
                 bad.append(f"{params} m={m}")
             prev = cur
     rows.append(
-        CheckResult(
+        _listed_row(
             "unit-step-monotone",
-            "fail" if bad else "pass",
             "boundary never decreases on the first interval",
-            bad[:5] or f"{count} steps",
+            bad,
+            f"{count} steps",
         )
     )
 
@@ -356,11 +360,11 @@ def monotonicity_checks() -> list[CheckResult]:
                     bad.append(f"{params} g={g} t={t}")
                 prev = cur
     rows.append(
-        CheckResult(
+        _listed_row(
             "block-step-monotone",
-            "fail" if bad else "pass",
             "boundary never decreases block to block",
-            bad[:5] or f"{count} steps",
+            bad,
+            f"{count} steps",
         )
     )
 
@@ -376,11 +380,11 @@ def monotonicity_checks() -> list[CheckResult]:
             ):
                 bad.append(f"{params} t={t}")
     rows.append(
-        CheckResult(
+        _listed_row(
             "power-step-monotone",
-            "fail" if bad else "pass",
             "boundary never decreases power to power",
-            bad[:5] or f"{count} steps",
+            bad,
+            f"{count} steps",
         )
     )
 
@@ -398,11 +402,11 @@ def monotonicity_checks() -> list[CheckResult]:
                 if _min_boundary_from(thr, params) < min_edge_boundary(thr, params):
                     bad.append(f"{params} threshold={thr}")
     rows.append(
-        CheckResult(
+        _listed_row(
             "threshold-floor",
-            "fail" if bad else "pass",
             "no size at or above a block beats the block boundary",
-            bad[:5] or f"{count} thresholds",
+            bad,
+            f"{count} thresholds",
         )
     )
 
@@ -422,11 +426,11 @@ def monotonicity_checks() -> list[CheckResult]:
                 ):
                     bad.append(f"{params} g={g} t={t}")
     rows.append(
-        CheckResult(
+        _listed_row(
             "block-formula-consistency",
-            "fail" if bad else "pass",
             "block expression equals general boundary",
-            bad[:5] or f"{count} blocks",
+            bad,
+            f"{count} blocks",
         )
     )
     return rows
@@ -490,11 +494,11 @@ def _profile_row(graph, params, profile, mode) -> CheckResult:
             bad.append(f"m={m}: witness side disconnected")
         elif mode == "bilateral" and not report.complement_connected:
             bad.append(f"m={m}: witness complement disconnected")
-    return CheckResult(
+    return _listed_row(
         f"scan-minimum[{mode}] {params}",
-        "fail" if bad else "pass",
         "enumerated minima equal closed form, witnesses check out",
-        bad[:5] or f"sizes 1..{len(profile)}",
+        bad,
+        f"sizes 1..{len(profile)}",
     )
 
 
@@ -558,11 +562,11 @@ def _bc_structure_row(graph) -> CheckResult:
         if sorted((u ^ v).bit_length() for u in row) != levels:
             bad.append(f"v={v}: neighbours {list(row)}")
     bad += [f"{v}->{u} has no {u}->{v}" for v, u in sorted(arcs) if (u, v) not in arcs]
-    return CheckResult(
+    return _listed_row(
         f"bc-structure {graph.label}",
-        "fail" if bad else "pass",
         "symmetric rows, one neighbour per level",
-        bad[:5] or f"levels 1..{dim} at {n_vertices} vertices",
+        bad,
+        f"levels 1..{dim} at {n_vertices} vertices",
     )
 
 
@@ -590,11 +594,11 @@ def bc_transfer_checks(
                     got = None if entry is None else entry[0]
                     bad.append(f"m={m}: {got}!={want}")
             rows.append(
-                CheckResult(
+                _listed_row(
                     f"bc-transfer {graph.label}",
-                    "fail" if bad else "pass",
                     "matches binary Hamming boundary",
-                    bad[:5] or f"sizes 1..{half}",
+                    bad,
+                    f"sizes 1..{half}",
                 )
             )
             if dim == 4:

@@ -22,6 +22,7 @@ import sys
 
 from . import checks
 from .closedform import (
+    CONDITION_KINDS,
     ConditionKind,
     conditional_connectivity,
     decompose,
@@ -58,11 +59,11 @@ def _env_int(name: str, default: int) -> int:
         raise IsocutError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _emit_rows(rows: list[dict], fmt: str, payload_key: str = "results") -> None:
+def _emit_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         print(
             json.dumps(
-                {"schema_version": SCHEMA_VERSION, payload_key: rows},
+                {"schema_version": SCHEMA_VERSION, "results": rows},
                 indent=2,
                 default=str,
             )
@@ -334,11 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="conditional edge-connectivity")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("extra", "embedded", "cyclic", "super", "average", "isoperimetric"),
-    )
+    p.add_argument("--kind", required=True, choices=CONDITION_KINDS)
     p.add_argument("--h", type=int, help="fragment size for extra/isoperimetric")
     p.add_argument("--t", type=int, help="sub-layer dimension for embedded")
     p.add_argument("--k", type=int, help="degree bound for super/average")
@@ -361,7 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="multi-minute grids")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-subsets", type=int, default=None)
-    p.add_argument("--max-vertices", type=int, default=OracleBudget().max_vertices)
+    p.add_argument(
+        "--max-vertices",
+        type=int,
+        default=OracleBudget().max_vertices,
+        help="the oracle's vertex cap (default %(default)s); not "
+        f"{ENV_VERTEX_CAP}, which caps graph building",
+    )
     add_format(p)
     p.set_defaults(func=_run_verify)
 

@@ -18,15 +18,21 @@ or idea with the formula side. Working notes on the engines:
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
   start, arbitrary. It hands each state ``(mask, size, cut, internal)`` to
-  a visitor: the profile visitor keeps per-size minima (set-connected and
-  both-sides-connected), the cut visitor keeps the best qualifying
+  a visitor: the profile visitor keeps one per-size profile, over the
+  connected sets or over those whose complement is connected too (when
+  both sides must be), and the cut visitor keeps the best qualifying
   bipartition for conditional connectivity and gates its expensive checks
   (complement connectivity, side predicates) behind the current best cut.
-  Growth order is not lexicographic, so ties are broken by explicit
-  sorted-tuple comparison (bitmask integer comparison would be wrong:
-  {1,2} -> 6 beats {0,3} -> 9 numerically but loses lexicographically).
   Task (root, 0) visits {root} itself, and a root with no larger
   neighbour gets a task of its own, so no caller handles singletons.
+* Witnesses stay bitmasks until they leave the oracle, and one rule,
+  ``_lex_less``, orders them as sorted vertex tuples: with d the least
+  vertex in a ^ b, the set holding d is the lesser one, unless the other
+  set has no vertex above d (it is then a prefix of the first). Integer
+  order of the masks would be wrong: {1,2} -> 6 is below {0,3} -> 9 but
+  sorts after it. Growth order is not lexicographic, so the visitors and
+  the reduction ``_least`` over (cut, mask, size) entries break every tie
+  by this rule; the tasks' results then combine in any order.
 * The two-part property check peels unordered partitions part by part,
   each part grown by the walker from the least vertex left, inside what
   is left: rows masked to that pool, so a part's cut counts only its edges
@@ -154,6 +160,30 @@ def _bits_tuple(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _lex_less(a: int, b: int) -> bool:
+    """Whether set a sorts before set b as sorted vertex tuples."""
+    low = (a ^ b) & -(a ^ b)
+    if a & low:
+        return b >= low << 1
+    return a < low
+
+
+def _least(entries):
+    """The least (cut, mask, size) entry, None ones skipped: the least cut,
+    with the least mask (by _lex_less) and the least size among the entries
+    achieving it; None when no entry is left."""
+    best = None
+    for entry in entries:
+        if entry is None:
+            continue
+        if best is None or entry[0] < best[0]:
+            best = entry
+        elif entry[0] == best[0]:
+            cut, mask, size = entry
+            best = (cut, mask if _lex_less(mask, best[1]) else best[1], min(size, best[2]))
+    return best
 
 
 def _component(seed: int, mask: int, masks: tuple[int, ...]) -> int:
@@ -415,7 +445,7 @@ def _beta_task(pair, cap):
 def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
     """Per-size minima over ALL subsets (sizes 1..max_m), or over those
     containing vertex 0 on a certified vertex-transitive graph. Returns
-    (list of (cut, witness_tuple) per size, visited)."""
+    (the least (cut, mask, size) entry of each size, visited)."""
     n = graph.vertex_count
     roots = _roots(graph)
     # the sets of size k whose least vertex is below roots
@@ -427,34 +457,16 @@ def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
         )
     masks = graph.neighbor_masks
     degrees = tuple(graph.degree(v) for v in range(n))
-
-    best_cut = [None] * (max_m + 1)
-    best_mask = [None] * (max_m + 1)
-    # size 1 handled here; the v0 loop is ascending so first strict optimum
-    # is the lexicographically least witness
-    for v in range(roots):
-        if best_cut[1] is None or degrees[v] < best_cut[1]:
-            best_cut[1] = degrees[v]
-            best_mask[1] = 1 << v
-
     pairs = ((v0, v1) for v0 in range(roots) for v1 in range(v0 + 1, n))
     tasks = list(pairs) if max_m >= 2 else []
     state = {"masks": masks, "degrees": degrees, "max_m": max_m, "n": n}
     results, visited = _run_tasks(_beta_task, state, tasks, budget)
-    # tasks are in lexicographic block order, so strict improvement keeps the
-    # earliest (least) witness on ties
-    for cuts, witnesses in results:
-        for size in range(2, max_m + 1):
-            if cuts[size] is not None and (
-                best_cut[size] is None or cuts[size] < best_cut[size]
-            ):
-                best_cut[size] = cuts[size]
-                best_mask[size] = witnesses[size]
-
-    out = []
-    for size in range(1, max_m + 1):
-        out.append((best_cut[size], _bits_tuple(best_mask[size])))
-    return out, visited + roots
+    entries = [_least((degrees[v], 1 << v, 1) for v in range(roots))]
+    entries += [
+        _least((cuts[size], found[size], size) for cuts, found in results if found[size])
+        for size in range(2, max_m + 1)
+    ]
+    return entries, visited + roots
 
 
 # --- engine: rooted growth ----------------------------------------------------
@@ -574,58 +586,25 @@ def _grow_task(item, cap):
 
 
 def _profile_visitor(state: dict, tally):
-    """Per-size (cut, witness) minima over connected sets, and over those
-    whose complement is connected too when state['bilateral'] is set."""
+    """The least (cut, mask, size) entry of each size over the visited sets,
+    or over those whose complement is connected too when state['bilateral']
+    is set; None at sizes where nothing qualified."""
     masks = state["masks"]
     full = state["full"]
     bilateral = state["bilateral"]
-    best_e: list = [None] * (state["max_m"] + 1)
-    best_b: list = [None] * (state["max_m"] + 1)
+    best: list = [None] * (state["max_m"] + 1)
 
     def visit(mask: int, size: int, cut: int, internal: int) -> None:
-        entry = best_e[size]
-        if entry is None or cut < entry[0]:
-            best_e[size] = (cut, _bits_tuple(mask))
-        elif cut == entry[0]:
-            witness = _bits_tuple(mask)
-            if witness < entry[1]:
-                best_e[size] = (cut, witness)
-        if not bilateral:
+        entry = best[size]
+        if entry is not None and (
+            cut > entry[0] or cut == entry[0] and not _lex_less(mask, entry[1])
+        ):
             return
-        entry = best_b[size]
-        if entry is not None and cut > entry[0]:
+        if bilateral and not _mask_connected(full & ~mask, masks):
             return
-        witness = _bits_tuple(mask)
-        if entry is not None and cut == entry[0] and witness >= entry[1]:
-            return
-        if _mask_connected(full & ~mask, masks):
-            best_b[size] = (cut, witness)
+        best[size] = (cut, mask, size)
 
-    return visit, lambda: (best_e, best_b)
-
-
-def _merge_profiles(best, extra):
-    for size in range(len(best)):
-        entry = extra[size]
-        if entry is None:
-            continue
-        if best[size] is None or entry < best[size]:
-            best[size] = entry
-
-
-def _connected_profile(graph: Graph, max_m: int, budget: OracleBudget, bilateral: bool):
-    """Per-size minima over connected sets (and optionally bilateral ones);
-    only over those containing vertex 0 on a certified vertex-transitive
-    graph."""
-    results, visited = _run_growth(
-        graph, _profile_visitor, max_m, _roots(graph), budget, bilateral=bilateral
-    )
-    best_e: list = [None] * (max_m + 1)
-    best_b: list = [None] * (max_m + 1)
-    for te, tb in results:
-        _merge_profiles(best_e, te)
-        _merge_profiles(best_b, tb)
-    return best_e[1:], best_b[1:], visited
+    return visit, lambda: best
 
 
 # --- public fixed-size operations --------------------------------------------
@@ -636,7 +615,28 @@ def _check_m(graph: Graph, m: int) -> None:
         raise DomainError(f"m must be in [1, {half}], got {m}")
 
 
-def _package(graph, cut, witness, atom, visited, t0) -> FragmentResult:
+def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
+    """The least (cut, mask, size) entry of each size 1..max_m, None where
+    no set qualifies, and the states visited.
+
+    mode 'any' scans all subsets; 'connected' requires the set side
+    connected; 'bilateral' requires both sides. On a certified
+    vertex-transitive graph only the sets containing vertex 0 are visited.
+    """
+    _require_oracle_scale(graph, budget)
+    _check_m(graph, max_m)
+    if mode == "any":
+        return _beta_profile(graph, max_m, budget)
+    if mode not in ("connected", "bilateral"):
+        raise DomainError(f"unknown mode {mode!r}")
+    results, visited = _run_growth(
+        graph, _profile_visitor, max_m, _roots(graph), budget, bilateral=mode == "bilateral"
+    )
+    return [_least(part[m] for part in results) for m in range(1, max_m + 1)], visited
+
+
+def _package(graph, cut, mask, atom, visited, t0) -> FragmentResult:
+    witness = _bits_tuple(mask)
     report = evaluate_cut(graph, witness)
     if report.cut_size != cut:
         raise VerificationError(
@@ -646,46 +646,38 @@ def _package(graph, cut, witness, atom, visited, t0) -> FragmentResult:
     return FragmentResult(cut, witness, atom, report, visited, time.perf_counter() - t0)
 
 
+def _min_boundary(graph: Graph, m: int, mode: str, budget: OracleBudget) -> FragmentResult:
+    t0 = time.perf_counter()
+    entries, visited = _profile(graph, m, mode, budget)
+    if entries[-1] is None:
+        what = {
+            "connected": f"connected {m}-vertex set",
+            "bilateral": f"{m}-vertex set with both sides connected",
+        }[mode]
+        raise InfeasibleError(f"no {what} in {graph.label}")
+    cut, mask, _ = entries[-1]
+    return _package(graph, cut, mask, m, visited, t0)
+
+
 def brute_min_boundary(
     graph: Graph, m: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> FragmentResult:
     """Minimum edge boundary over ALL m-vertex sets, by full scan."""
-    t0 = time.perf_counter()
-    _require_oracle_scale(graph, budget)
-    _check_m(graph, m)
-    profile, visited = _beta_profile(graph, m, budget)
-    cut, witness = profile[m - 1]
-    return _package(graph, cut, witness, m, visited, t0)
+    return _min_boundary(graph, m, "any", budget)
 
 
 def brute_min_boundary_connected(
     graph: Graph, m: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> FragmentResult:
     """Minimum boundary over m-vertex sets inducing a connected subgraph."""
-    t0 = time.perf_counter()
-    _require_oracle_scale(graph, budget)
-    _check_m(graph, m)
-    prof_e, _, visited = _connected_profile(graph, m, budget, bilateral=False)
-    entry = prof_e[m - 1]
-    if entry is None:
-        raise InfeasibleError(f"no connected {m}-vertex set in {graph.label}")
-    return _package(graph, entry[0], entry[1], m, visited, t0)
+    return _min_boundary(graph, m, "connected", budget)
 
 
 def brute_min_boundary_bilateral(
     graph: Graph, m: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> FragmentResult:
     """Minimum boundary over m-vertex sets with both sides connected."""
-    t0 = time.perf_counter()
-    _require_oracle_scale(graph, budget)
-    _check_m(graph, m)
-    _, prof_b, visited = _connected_profile(graph, m, budget, bilateral=True)
-    entry = prof_b[m - 1]
-    if entry is None:
-        raise InfeasibleError(
-            f"no {m}-vertex set with both sides connected in {graph.label}"
-        )
-    return _package(graph, entry[0], entry[1], m, visited, t0)
+    return _min_boundary(graph, m, "bilateral", budget)
 
 
 def brute_boundary_profile(
@@ -701,17 +693,8 @@ def brute_boundary_profile(
     qualifying set exists. This is the bulk interface the verification
     suites use so an m-sweep costs one enumeration, not max_m of them.
     """
-    _require_oracle_scale(graph, budget)
-    _check_m(graph, max_m)
-    if mode == "any":
-        profile, _ = _beta_profile(graph, max_m, budget)
-        return profile
-    if mode not in ("connected", "bilateral"):
-        raise DomainError(f"unknown mode {mode!r}")
-    prof_e, prof_b, _ = _connected_profile(
-        graph, max_m, budget, bilateral=(mode == "bilateral")
-    )
-    return prof_b if mode == "bilateral" else prof_e
+    entries, _ = _profile(graph, max_m, mode, budget)
+    return [None if e is None else (e[0], _bits_tuple(e[1])) for e in entries]
 
 
 # --- conditional connectivity -------------------------------------------------
@@ -802,17 +785,15 @@ def _cut_visitor(state: dict, tally):
     pred = state["pred"]
     total_edges = state["edges"]
     n = full.bit_count()
-    best = None  # (cut, witness_tuple, atom_size)
+    best = None  # (cut, witness mask, atom size)
 
     def visit(mask: int, size: int, cut: int, internal: int) -> None:
         nonlocal best
-        if best is not None and cut > best[0]:
+        if best is not None and (
+            cut > best[0]
+            or cut == best[0] and size >= best[2] and not _lex_less(mask, best[1])
+        ):
             return
-        witness = None
-        if best is not None and cut == best[0]:
-            witness = _bits_tuple(mask)
-            if witness >= best[1] and size >= best[2]:
-                return
         if not pred(mask, size, internal):
             return
         other = full & ~mask
@@ -821,12 +802,7 @@ def _cut_visitor(state: dict, tally):
             return
         if not _mask_connected(other, masks):
             return
-        if witness is None:
-            witness = _bits_tuple(mask)
-        if best is None or cut < best[0]:
-            best = (cut, witness, size)
-        else:
-            best = (cut, min(witness, best[1]), min(size, best[2]))
+        best = _least((best, (cut, mask, size)))
 
     return visit, lambda: best
 
@@ -858,35 +834,19 @@ def brute_conditional(
                 f"isoperimetric({h}) needs both sides >= {h}, impossible on "
                 f"{n} vertices"
             )
-        profile, visited = _beta_profile(graph, half, budget)
-        best = None
-        atom = None
-        for m in range(h, half + 1):
-            cut, witness = profile[m - 1]
-            if best is None or cut < best[0]:
-                best = (cut, witness)
-                atom = m  # sizes ascend, so this is the least achieving size
-            elif cut == best[0] and witness < best[1]:
-                best = (cut, witness)
-        return _package(graph, best[0], best[1], atom, visited, t0)
-
-    pred = _side_predicate(cond, params, graph)
-    results, visited = _run_growth(
-        graph, _cut_visitor, half, _roots(graph), budget, pred=pred, edges=graph.edge_count
-    )
-    best = None  # (cut, witness, atom)
-    for entry in results:
-        if entry is None:
-            continue
-        if best is None or entry[0] < best[0]:
-            best = entry
-        elif entry[0] == best[0]:
-            best = (best[0], min(entry[1], best[1]), min(entry[2], best[2]))
-    if best is None:
-        raise InfeasibleError(
-            f"no bipartition of {graph.label} satisfies {cond.describe()}"
+        entries, visited = _beta_profile(graph, half, budget)
+        best = _least(entries[h - 1:])
+    else:
+        pred = _side_predicate(cond, params, graph)
+        results, visited = _run_growth(
+            graph, _cut_visitor, half, _roots(graph), budget, pred=pred, edges=graph.edge_count
         )
-    return _package(graph, best[0], best[1], best[2], visited, t0)
+        best = _least(results)
+        if best is None:
+            raise InfeasibleError(
+                f"no bipartition of {graph.label} satisfies {cond.describe()}"
+            )
+    return _package(graph, *best, visited, t0)
 
 
 def brute_extra_connectivity(

@@ -209,6 +209,27 @@ class TestWrapperFunctions:
         with pytest.raises(DomainError):
             brute_min_boundary(graph, 5)  # above half
 
+    def test_infeasible_sizes(self):
+        edgeless = graph_from_edges(4, [], "edgeless")
+        with pytest.raises(InfeasibleError):
+            brute_min_boundary_connected(edgeless, 2)
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], "star")
+        assert brute_min_boundary_connected(star, 2).witness == (0, 1)
+        with pytest.raises(InfeasibleError):
+            brute_min_boundary_bilateral(star, 2)  # the other two leaves fall apart
+
+
+class TestLexOrder:
+    def test_matches_sorted_tuple_order(self):
+        sets = [
+            combo for k in range(1, 9) for combo in itertools.combinations(range(8), k)
+        ]
+        masks = [sum(1 << v for v in combo) for combo in sets]
+        for a, ta in zip(masks, sets):
+            for b, tb in zip(masks, sets):
+                if a != b:
+                    assert oracle._lex_less(a, b) == (ta < tb), (ta, tb)
+
 
 def _conditional_cell(arity, dim, cond):
     def run(budget):
