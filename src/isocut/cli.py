@@ -30,7 +30,7 @@ from .closedform import (
     min_edge_boundary,
 )
 from .construct import evaluate_cut, family_census, optimal_set, sublayer_families
-from .errors import BudgetError, IsocutError, VerificationError
+from .errors import BudgetError, DomainError, IsocutError, VerificationError
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     HammingParams,
@@ -118,6 +118,10 @@ def _run_xi(args) -> int:
         sizes = [args.m]
     else:
         lo, hi = _parse_m_range(args.m_range)
+        if lo < 1 or hi > params.half_size:
+            raise DomainError(
+                f"--m-range must lie in [1, {params.half_size}], got {args.m_range!r}"
+            )
         sizes = list(range(lo, hi + 1))
     rows = []
     for m in sizes:
@@ -300,7 +304,10 @@ def _run_graph(args) -> int:
         graph = bc_network(
             args.n, args.policy, seed=args.seed, max_vertices=args.max_vertices
         )
-    write_edge_list(graph, args.out)
+    try:
+        write_edge_list(graph, args.out)
+    except OSError as exc:
+        raise IsocutError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     print(
         f"wrote {args.out}: {graph.label}, {graph.vertex_count} vertices, "
         f"{graph.edge_count} edges"

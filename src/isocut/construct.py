@@ -5,7 +5,16 @@ The boundary-minimizing m-vertex set of K_L^n is simply the numeric prefix
 a_i * L^{b_i} contributes a block of a_i parallel b_i-dimensional sub-layers
 (a sub-layer = all vertices sharing a fixed digit prefix). This module builds
 both views, counts the prefix's edges from the descriptors alone, and
-evaluates arbitrary cuts on materialized graphs.
+evaluates cuts on materialized graphs.
+
+Connectivity of a cut's sides is settled by a certificate first and a flood
+only where the certificate fails. A side is connected when every member but
+an extreme one has a neighbour in the side that is nearer that extreme:
+``evaluate_cut`` reads it off each member's least or greatest neighbour, and
+``prefix_cut_sweep`` off the neighbour counts below and above each vertex.
+Every prefix and suffix of a Hamming graph or BC network passes, so the
+optimal sets and their complements are certified without a flood; other
+sides go to a BFS (``evaluate_cut``) or a union-find (``prefix_cut_sweep``).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import getitem, sub
+from operator import getitem, gt, itemgetter, lt, sub
 from typing import Iterable, NamedTuple
 
 from .closedform import decompose
@@ -171,6 +180,7 @@ class CutReport:
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # set flags -> complement flags
+_LEAST, _GREATEST = itemgetter(0), itemgetter(-1)  # a sorted row's end neighbours
 
 
 def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
@@ -182,9 +192,21 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
 
     Membership is a ``bytearray`` of flags. The degree sum and the count of
     adjacency entries landing inside the set (twice the internal edges) are
-    taken by ``map``/``chain`` over the members' rows, and each side's parts
-    by the flag-clearing BFS behind ``graphs.components``, so the work per
+    taken by ``map``/``chain`` over the members' rows, so the work per
     adjacency entry runs in C.
+
+    Each side's parts come from a certificate first and a flood only where
+    it fails. The set side is connected when every member but the least has
+    its least neighbour (``row[0]``) in the set and below itself: following
+    least neighbours from any member then ends at the least member. The
+    complement is connected when every member but the greatest has its
+    greatest neighbour (``row[-1]``) in the complement and above itself.
+    Both tests are ``map``/``all`` passes over one side's rows, linear in
+    the side. A side that fails its test (a tested member with no
+    neighbours fails it) is split by the flag-clearing BFS behind
+    ``graphs.components``, so the report is the same either way. Every
+    prefix and suffix of a Hamming graph or BC network passes (see
+    ``prefix_cut_sweep``), so their optimal sets are never flooded.
     """
     members = list(vertex_set)
     if not members:
@@ -198,12 +220,20 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     members = list(compress(range(n), flags))
     if len(members) == n:
         raise DomainError("vertex set must be a proper subset")
-    rows = list(map(graph.adjacency.__getitem__, members))
+    adjacency = graph.adjacency
+    rows = list(map(adjacency.__getitem__, members))
     degree_sum = sum(map(len, rows))
     inside = sum(map(getitem, repeat(flags), chain.from_iterable(rows)))
     complement = flags.translate(_FLIP)
-    side_parts = tuple(map(len, _flood(graph.adjacency, flags)))
-    comp_parts = tuple(map(len, _flood(graph.adjacency, complement)))
+    if _chained(flags, members[1:], rows[1:], _LEAST, lt):
+        side_parts = (len(members),)
+    else:
+        side_parts = tuple(map(len, _flood(adjacency, flags)))
+    others = list(compress(range(n), complement))[:-1]  # all but the greatest
+    if _chained(complement, others, map(adjacency.__getitem__, others), _GREATEST, gt):
+        comp_parts = (n - len(members),)
+    else:
+        comp_parts = tuple(map(len, _flood(adjacency, complement)))
     return CutReport(
         set_size=len(members),
         cut_size=degree_sum - inside,
@@ -213,6 +243,16 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
         set_component_sizes=side_parts,
         complement_component_sizes=comp_parts,
     )
+
+
+def _chained(flags: bytearray, members: list[int], rows: Iterable, end, toward) -> bool:
+    """Whether each of ``members`` has its ``end`` neighbour in its row
+    flagged and ``toward(neighbour, member)``; False for an empty row."""
+    try:
+        ends = list(map(end, rows))
+    except IndexError:  # an isolated member
+        return False
+    return all(map(toward, ends, members)) and all(map(getitem, repeat(flags), ends))
 
 
 class SweepRow(NamedTuple):

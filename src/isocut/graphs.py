@@ -49,7 +49,11 @@ class HammingParams:
             raise DomainError(f"arity must be >= 2, got {self.arity}")
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.arity**self.dim > NATIVE_UINT_MAX:
+        # the first test settles large inputs before any huge power is computed
+        if (
+            self.dim * (self.arity.bit_length() - 1) >= 64
+            or self.arity**self.dim > NATIVE_UINT_MAX
+        ):
             raise DomainError(
                 f"vertex count {self.arity}**{self.dim} exceeds the native 64-bit range"
             )
@@ -277,6 +281,8 @@ def bc_network(
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if dim >= 64:
+        raise DomainError(f"vertex count 2**{dim} exceeds the native 64-bit range")
     if matching_policy not in MATCHING_POLICIES:
         raise DomainError(f"unknown matching policy {matching_policy!r}")
     _check_cap(2**dim, max_vertices)
@@ -359,11 +365,12 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Parse the text form produced by format_edge_list.
 
     Header line ``# vertices=N edges=M label=...`` followed by one ``u v``
-    pair per line with u < v, in sorted order.
+    pair per line with u < v, in sorted order. The header's vertex count is
+    checked against ``max_vertices`` before anything is allocated.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -388,6 +395,7 @@ def parse_edge_list(text: str) -> Graph:
     n_vertices = fields["vertices"]
     if n_vertices < 1:
         raise DomainError("vertex count must be positive")
+    _check_cap(n_vertices, max_vertices)
     adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
     previous = None
     for ln in lines[1:]:
@@ -412,5 +420,5 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     Path(path).write_text(format_edge_list(graph))
 
 
-def read_edge_list(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+def read_edge_list(path: str | Path, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+    return parse_edge_list(Path(path).read_text(), max_vertices=max_vertices)

@@ -1,16 +1,21 @@
 """CLI surface: flags, output formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocut import checks
 from isocut.cli import main
 from isocut.checks import CheckResult
+from isocut.closedform import CONDITION_KINDS
 
 
 def run(capsys, *argv):
@@ -56,6 +61,13 @@ class TestXi:
         code, _, err = run(capsys, "xi", "--L", "2", "--n", "4", "--m", "9")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("text", ["0..3", "1..5", "1..999999999999"])
+    def test_range_outside_domain_exit_2(self, capsys, text):
+        # the sizes are checked before any is listed: the last range cannot be
+        code, out, err = run(capsys, "xi", "--L", "2", "--n", "3", "--m-range", text)
+        assert (code, out) == (2, "")
+        assert "[1, 4]" in err
 
 
 class TestLambda:
@@ -264,6 +276,15 @@ class TestGraph:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["missing/dir/x", "."])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
+        path = str(tmp_path / where)
+        code, out, err = run(
+            capsys, "graph", "--hamming", "--L", "2", "--n", "3", "--out", path
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and path in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["xi", "--L", "2"])
@@ -280,3 +301,144 @@ class TestEntryPoint:
         assert proc.returncode == 0
         row = json.loads(proc.stdout)["results"][0]
         assert row["min_edge_boundary"] == 30
+
+
+# --- generated argv ----------------------------------------------------------
+# Every draw returns in milliseconds: graphs are built only up to 5^4 or 2^10
+# vertices, the oracle and bc scopes always get a small --max-subsets, and no
+# valid cap or size is ever large enough to materialize a big graph. The
+# out-of-range values are large but cheap to reject.
+
+BIG = st.sampled_from([2**63, 2**64, 10**12, 10**30, -(10**30)])
+NOT_INT = st.sampled_from(["x", "1.5", ""])
+PAST_ANY_HALF = st.sampled_from([2**63, 2**64, 10**30])
+
+
+def ints(lo, hi, big=BIG):
+    """An int in [lo, hi] three times in four, else a large or non-integer
+    value."""
+    out_of_range = st.one_of(big, NOT_INT)
+    return st.integers(0, 3).flatmap(
+        lambda k: st.integers(lo, hi) if k else out_of_range
+    ).map(str)
+
+
+def option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+FORMAT = option("--format", st.sampled_from(["human", "json", "csv", "xml"]))
+# dims past 64 are out of range, yet 2**dim stays cheap
+DIMS = st.sampled_from([64, 65, 1000, 10**4, -(10**30)])
+SMALL_CAP = ints(-3, 2000, big=st.sampled_from([-(10**30)]))
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [a for part in lists for a in part])
+
+
+def fixed(*argv):
+    return st.just(list(argv))
+
+
+# half the upper ends of --m-range lie past every graph's N/2 < 2**63; none
+# lies between 200 and that, since a valid range so long lists every row
+UPPER_END = st.one_of(ints(0, 200, big=PAST_ANY_HALF), PAST_ANY_HALF.map(str))
+XI = joined(
+    fixed("xi"),
+    ints(1, 12).map(lambda v: ["--L", v]),
+    ints(0, 6, big=DIMS).map(lambda v: ["--n", v]),
+    st.one_of(
+        ints(-3, 600).map(lambda v: ["--m", v]),
+        st.tuples(ints(0, 200), UPPER_END).map(lambda ends: ["--m-range", "..".join(ends)]),
+    ),
+    FORMAT,
+)
+LAMBDA = joined(
+    fixed("lambda"),
+    ints(1, 12).map(lambda v: ["--L", v]),
+    ints(0, 8, big=DIMS).map(lambda v: ["--n", v]),
+    st.sampled_from([*CONDITION_KINDS, "bogus"]).map(lambda v: ["--kind", v]),
+    option("--h", ints(-3, 60)),
+    option("--t", ints(-3, 9)),
+    option("--k", ints(-3, 30)),
+    FORMAT,
+)
+CONSTRUCT = joined(
+    fixed("construct"),
+    st.sampled_from(["-1", "1", "2", "3", "4", "5", str(2**64)]).map(lambda v: ["--L", v]),
+    st.one_of(st.integers(-1, 4).map(str), DIMS.map(str)).map(lambda v: ["--n", v]),
+    ints(-3, 400).map(lambda v: ["--m", v]),
+    option("--max-vertices", SMALL_CAP),
+    st.sampled_from([[], ["--emit-graph"]]),
+    FORMAT,
+)
+VERIFY = joined(
+    fixed("verify"),
+    st.one_of(
+        fixed("--scope", "tables"),
+        st.tuples(
+            st.sampled_from(["oracle", "bc", "nowhere"]), ints(-3, 40, big=st.just(-1))
+        ).map(lambda v: ["--scope", v[0], "--max-subsets", v[1]]),
+    ),
+    option("--threads", ints(-2, 1, big=st.just(-(10**30)))),
+    option("--max-vertices", SMALL_CAP),
+    FORMAT,
+)
+GRAPH = joined(
+    fixed("graph"),
+    st.sampled_from([[], ["--hamming"], ["--bc"], ["--hamming", "--bc"]]),
+    option("--L", st.sampled_from(["-1", "1", "2", "3", "4", "5", str(2**64), "x"])),
+    st.one_of(st.integers(-1, 4).map(str), DIMS.map(str)).map(lambda v: ["--n", v]),
+    option("--policy", st.sampled_from(["identity", "reversal", "seeded_random", "mirror"])),
+    option("--seed", ints(-3, 3)),
+    option("--max-vertices", SMALL_CAP),
+    st.sampled_from(["ok", "missing", "directory"]).map(lambda v: ["--out", v]),
+)
+# the BC network alone may take dims up to 10 (1024 vertices)
+GRAPH_BC = joined(
+    fixed("graph", "--bc"),
+    st.integers(-1, 10).map(lambda v: ["--n", str(v)]),
+    st.sampled_from(["ok", "missing"]).map(lambda v: ["--out", v]),
+)
+ENV_VALUE = st.sampled_from([None, "abc", "", "-1", "0", "7", "1e3"])
+
+
+COMMANDS = {
+    "xi": XI,
+    "lambda": LAMBDA,
+    "construct": CONSTRUCT,
+    "verify": VERIFY,
+    "graph": st.one_of(GRAPH, GRAPH_BC),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), vertex_cap=ENV_VALUE, max_subsets=ENV_VALUE)
+    def test_exit_code_documented_and_no_traceback(
+        self, tmp_path_factory, command, data, vertex_cap, max_subsets
+    ):
+        argv = data.draw(COMMANDS[command], label="argv")
+        out_dir = tmp_path_factory.getbasetemp()
+        paths = {
+            "ok": str(out_dir / "g.txt"),
+            "missing": str(out_dir / "missing" / "g.txt"),
+            "directory": str(out_dir),
+        }
+        argv = [paths.get(arg, arg) for arg in argv]
+        env = {"ISOCUT_VERTEX_CAP": vertex_cap, "ISOCUT_MAX_SUBSETS": max_subsets}
+        stderr = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            for name, value in env.items():
+                os.environ.pop(name, None)
+                if value is not None:
+                    os.environ[name] = value
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, env, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

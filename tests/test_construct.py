@@ -74,6 +74,11 @@ CERTIFIED_GRAPHS = [
     *(bc_network(5, policy, seed=4) for policy in ("identity", "reversal", "seeded_random")),
 ]
 
+# small graphs for the certificate's edge cases in evaluate_cut
+CUBE = hamming_graph(HammingParams(2, 3))
+TWO_EDGES = graph_from_edges(5, [(0, 1), (2, 3)], "two-edges")
+ISOLATED = graph_from_edges(5, [(0, 1), (3, 4)], "isolated")
+
 
 def reference_sweep(graph, max_size):
     """Each prefix counted afresh, its connectivity from ``components``."""
@@ -219,6 +224,25 @@ class TestEvaluateCut:
                 vertices = [rng.randrange(n) for _ in range(rng.randrange(1, n + 1))]
                 if len(set(vertices)) < n:
                     assert evaluate_cut(g, vertices) == frozenset_evaluate_cut(g, vertices)
+
+    @pytest.mark.parametrize(
+        "graph,vertices",
+        [
+            # 6's least neighbour 2 is outside the set, but 6-4-0 joins it
+            pytest.param(CUBE, [0, 4, 6], id="chain-misses"),
+            # 2's least neighbour 3 is in the set but above it: two parts
+            pytest.param(TWO_EDGES, [0, 1, 2, 3], id="neighbour-above"),
+            # vertex 2 of ISOLATED has no neighbours
+            pytest.param(ISOLATED, [1, 2], id="isolated-in-set"),
+            pytest.param(ISOLATED, [0, 1], id="isolated-in-complement"),
+            pytest.param(ISOLATED, [2], id="isolated-alone"),
+            pytest.param(CUBE, [5], id="single-member-set"),
+            pytest.param(CUBE, [0, 1, 2, 3, 4, 6, 7], id="single-member-complement"),
+            pytest.param(pocket_graph(), range(1, 15), id="pocket-single-complement"),
+        ],
+    )
+    def test_certificate_edge_cases_match_reference(self, graph, vertices):
+        assert evaluate_cut(graph, vertices) == frozenset_evaluate_cut(graph, vertices)
 
     def test_isolated_vertex_is_its_own_part(self):
         g = random_graph_with_late_isolated_vertex(seed=3)

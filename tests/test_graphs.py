@@ -114,6 +114,14 @@ BC_GRID = [
 ] + [(14, "identity", 0), (15, "reversal", 0), (16, "seeded_random", 0)]
 
 
+class NoPower(int):
+    """An int that fails the test when used as an exponent, since 2**dim
+    for a huge dim would take the machine's memory."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"computed {base}**{int(self)}")
+
+
 class TestHammingParams:
     def test_counts(self):
         p = HammingParams(3, 4)
@@ -125,13 +133,26 @@ class TestHammingParams:
     def test_half_size_rounds_down(self):
         assert HammingParams(3, 2).half_size == 4
 
-    @pytest.mark.parametrize("arity,dim", [(1, 2), (0, 3), (2, 0), (2, -1)])
+    @pytest.mark.parametrize(
+        "arity,dim",
+        [(1, 2), (0, 3), (2, 0), (2, -1), (2, 64), (3, 41), (2**32, 2), (2**64, 1)],
+    )
     def test_rejects_degenerate(self, arity, dim):
         with pytest.raises(DomainError):
             HammingParams(arity, dim)
 
     def test_str(self):
         assert str(HammingParams(4, 3)) == "K_4^3"
+
+    @pytest.mark.parametrize("arity,dim", [(2, 63), (3, 40), (2**64 - 1, 1)])
+    def test_largest_native_graphs(self, arity, dim):
+        assert HammingParams(arity, dim).vertex_count <= 2**64 - 1
+
+    def test_huge_dims_rejected_without_the_power(self):
+        with pytest.raises(DomainError):
+            HammingParams(2, NoPower(10**18))
+        with pytest.raises(DomainError):
+            bc_network(NoPower(10**18))
 
 
 class TestCodec:
@@ -325,3 +346,16 @@ class TestEdgeListIO:
             parse_edge_list("# vertices=2 edges=1 label=x\n0 5\n")
         with pytest.raises(DomainError, match="bad edge line"):
             parse_edge_list("# vertices=2 edges=1\n0 x\n")
+
+    def test_vertex_cap(self, tmp_path):
+        text = "# vertices=1000001 edges=0 label=x\n"
+        with pytest.raises(CapError):
+            parse_edge_list(text)
+        with pytest.raises(CapError):
+            parse_edge_list("# vertices=11 edges=0 label=x\n", max_vertices=10)
+        at_cap = parse_edge_list("# vertices=10 edges=0 label=x\n", max_vertices=10)
+        assert at_cap.vertex_count == 10
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        with pytest.raises(CapError):
+            read_edge_list(path)
