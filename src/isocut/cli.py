@@ -6,8 +6,8 @@ connectivities), `construct` (optimal sets with a materialized cut report),
 by default; `--format json` and `--format csv` are schema-stable, and every
 JSON payload carries schema_version.
 
-Exit codes: 0 success, 2 domain/unsupported error, 3 budget exceeded,
-4 verification failure.
+Exit codes: 0 success (also when the reader closes stdout early), 2
+domain/unsupported error, 3 budget exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import checks
 from .closedform import (
@@ -59,28 +59,34 @@ def _env_int(name: str, default: int) -> int:
         raise IsocutError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _emit_rows(rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {"schema_version": SCHEMA_VERSION, "results": rows},
-                indent=2,
-                default=str,
-            )
-        )
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
+def _emit_rows(rows: Iterable[dict], fmt: str) -> None:
+    """Print each row as soon as it is built, so a long `xi --m-range`
+    streams in constant memory. rows must not be empty; nothing is printed
+    before the first row is built. The JSON text is what
+    json.dumps({"schema_version": ..., "results": rows}, indent=2) gives."""
+    out = sys.stdout
+    for index, row in enumerate(rows):
+        if fmt == "json":
+            body = json.dumps(row, indent=2, default=str).replace("\n", "\n    ")
+            if index == 0:
+                out.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "results": [\n')
+            else:
+                out.write(",\n")
+            out.write(f"    {body}")
+        elif fmt == "csv":
+            if index == 0:
+                writer = csv.DictWriter(out, fieldnames=list(row))
+                writer.writeheader()
             writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-        sys.stdout.write(buf.getvalue())
-    else:
-        for row in rows:
+        else:
+            if index == 1:
+                print()  # with several rows, every row ends in a blank line
             for key, value in row.items():
                 print(f"{key}: {_human_cell(value)}")
-            if len(rows) > 1:
+            if index:
                 print()
+    if fmt == "json":
+        out.write("\n  ]\n}\n")
 
 
 def _csv_cell(value):
@@ -122,19 +128,18 @@ def _run_xi(args) -> int:
             raise DomainError(
                 f"--m-range must lie in [1, {params.half_size}], got {args.m_range!r}"
             )
-        sizes = list(range(lo, hi + 1))
-    rows = []
-    for m in sizes:
-        rows.append(
-            {
-                "L": params.arity,
-                "n": params.dim,
-                "m": m,
-                "decomposition": str(decompose(m, params.arity)),
-                "max_degree_sum": max_degree_sum(m, params),
-                "min_edge_boundary": min_edge_boundary(m, params),
-            }
-        )
+        sizes = range(lo, hi + 1)
+    rows = (
+        {
+            "L": params.arity,
+            "n": params.dim,
+            "m": m,
+            "decomposition": str(decompose(m, params.arity)),
+            "max_degree_sum": max_degree_sum(m, params),
+            "min_edge_boundary": min_edge_boundary(m, params),
+        }
+        for m in sizes
+    )
     _emit_rows(rows, args.format)
     return 0
 
@@ -415,6 +420,11 @@ def main(argv=None) -> int:
     except IsocutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: stop there, and
+        # send what is still buffered to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

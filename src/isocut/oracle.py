@@ -40,14 +40,22 @@ or idea with the formula side. Working notes on the engines:
   visitor prunes by a cut budget at every part and starts the next peel;
   it runs the first part through the task runner like the other visitors,
   and nested peels draw on the same task's state tally.
-* On a graph that ``_translation_transitive`` certifies vertex-transitive,
-  both enumerators visit only the sets that contain vertex 0 (root 0 in
-  rooted growth, pairs (0, v) in the scan). Every condition here is
-  invariant under automorphisms, so some optimal side contains 0, and the
-  lexicographically least optimal side does: a tuple starting with 0 is
-  less than any that does not. The state counts drop; values, witnesses and
-  atom sizes do not change. The certificate reads only the graph, never its
-  label, and is the sole gate: every other graph gets the full enumeration.
+* On a graph that ``_orbit_minima`` certifies vertex-transitive, both
+  enumerators visit only sets that contain vertex 0. Every condition here
+  is invariant under automorphisms, so some optimal side contains 0, and
+  the lexicographically least optimal side does: a tuple starting with 0
+  is less than any that does not. The same certificate yields a group H of
+  automorphisms fixing 0 (digit-position swaps and value swaps of the
+  base-L reading, each kept only if it is one). The least optimal side's
+  second vertex v is least in its H-orbit, or some h in H would map the
+  side to a lesser optimal one that still holds 0. So the scan takes only
+  the pairs (0, v) with v an orbit minimum, and rooted growth only task
+  (0, 0), {0} and the sets holding 0 and its least neighbour u, when H
+  moves u onto all of N(0) (on K_L^n, u = 1 and H is the whole stabiliser
+  of 0). The state counts drop; values, witnesses and atom sizes do not
+  change. The certificate reads only the adjacency, never the label, and
+  is the sole gate: every other graph gets the full enumeration. The
+  partition scan is not pruned: its achiever count counts every partition.
 * Both enumerators split their work into tasks that go through one runner,
   in-process or over a process pool. Results come back in task order and
   are combined with a deterministic min-reduction, so parallel results
@@ -213,7 +221,23 @@ def _require_oracle_scale(graph: Graph, budget: OracleBudget) -> None:
         )
 
 
-# --- vertex-transitivity certificate -----------------------------------------
+# --- symmetry certificate ----------------------------------------------------
+
+def _base_reading(graph: Graph) -> tuple[int, int] | None:
+    """The (L, n) of a K_L^n-like regular graph: L**n = N and (L-1)*n equals
+    the common degree. At most one pair fits, because (x-1)ln N/ln x grows
+    with x = N**(1/n); it fixes a base-L reading of the vertex ids."""
+    degrees = {len(nbrs) for nbrs in graph.adjacency}
+    if len(degrees) != 1:
+        return None
+    (degree,) = degrees
+    n_vertices = graph.vertex_count
+    for dim in range(1, n_vertices.bit_length()):
+        arity = round(n_vertices ** (1 / dim))
+        if arity**dim == n_vertices and (arity - 1) * dim == degree:
+            return arity, dim
+    return None
+
 
 def _digit_steps(arity: int, dim: int) -> list[tuple[int, ...]]:
     """The maps "digit p plus 1 mod arity" on base-arity vertex ids, one per
@@ -228,44 +252,86 @@ def _digit_steps(arity: int, dim: int) -> list[tuple[int, ...]]:
     return steps
 
 
-def _translation_transitive(graph: Graph) -> bool:
-    """True iff the digit translations of a K_L^n labelling are automorphisms.
+def _stabiliser_moves(arity: int, dim: int) -> list[tuple[int, ...]]:
+    """Permutations of the base-arity ids that fix 0, each as a tuple
+    image[v]: the swaps of digit positions p and p+1, and the swaps of the
+    values 1 and a at digit 0 for a = 2..arity-1. On K_L^n they generate
+    the whole stabiliser of 0, whose orbits are the Hamming weights."""
+    ids = range(arity**dim)
+    moves = []
+    for p in range(dim - 1):
+        low, high = arity**p, arity ** (p + 1)
+        moves.append(tuple(
+            v + (v // low % arity - v // high % arity) * (high - low) for v in ids
+        ))
+    for a in range(2, arity):
+        swap = {1: a - 1, a: 1 - a}
+        moves.append(tuple(v + swap.get(v % arity, 0) for v in ids))
+    return moves
 
-    Reads only the vertex count N, the common degree and the adjacency. At
-    most one (L, n) has L**n = N and (L-1)*n = degree, because (x-1)ln N/ln x
-    grows with x = N**(1/n); it fixes a base-L reading of the vertex ids.
-    Each of the n maps "digit p plus 1 mod L" must send every neighbourhood
-    onto a neighbourhood. They generate Z_L^n acting regularly, so when they
-    hold the graph is vertex-transitive. That covers K_L^n and the identity
-    and reversal BC networks (XOR Cayley graphs of Z_2^n). A translation
-    keeps a side's size, internal edges, induced minimum degree and cycles,
-    and maps axis sub-layers of K_L^n onto axis sub-layers, so it keeps
-    every condition kind; callers may then enumerate only sets containing 0.
-    """
-    adjacency = graph.adjacency
-    degrees = {len(nbrs) for nbrs in adjacency}
-    if len(degrees) != 1:
-        return False
-    (degree,) = degrees
-    n_vertices = graph.vertex_count
-    for dim in range(1, n_vertices.bit_length()):
-        arity = round(n_vertices ** (1 / dim))
-        if arity**dim == n_vertices and (arity - 1) * dim == degree:
-            break
-    else:
-        return False
-    neighbours = [set(nbrs) for nbrs in adjacency]
+
+def _automorphism(perm: tuple[int, ...], adjacency, neighbours: list[set]) -> bool:
+    """Whether perm maps every neighbourhood onto the neighbourhood of the image."""
     return all(
-        {step[u] for u in adjacency[v]} == neighbours[step[v]]
-        for step in _digit_steps(arity, dim)
-        for v in range(n_vertices)
+        {perm[u] for u in nbrs} == neighbours[perm[v]] for v, nbrs in enumerate(adjacency)
     )
 
 
-def _roots(graph: Graph) -> int:
-    """Enumerate the sets whose least vertex is below this: 1 (only sets
-    containing vertex 0) on a certified vertex-transitive graph, else N."""
-    return 1 if _translation_transitive(graph) else graph.vertex_count
+def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
+    """The least vertex of each vertex's orbit under a certified group H of
+    automorphisms fixing 0, or None when the graph is not certified
+    vertex-transitive.
+
+    Reads only the adjacency. The graph is certified when each of the n maps
+    "digit p plus 1 mod L" of its base-L reading sends every neighbourhood
+    onto a neighbourhood: they generate Z_L^n acting regularly. That covers
+    K_L^n and the identity and reversal BC networks (XOR Cayley graphs of
+    Z_2^n). H is generated by the `_stabiliser_moves` that pass the same
+    test; the others are dropped, so H may be trivial. An automorphism keeps
+    a side's size, internal edges, induced minimum degree, cycles and
+    connectivity, and the translations and moves map axis sub-layers of
+    K_L^n onto axis sub-layers, so they keep every condition kind.
+    """
+    reading = _base_reading(graph)
+    if reading is None:
+        return None
+    adjacency = graph.adjacency
+    neighbours = [set(nbrs) for nbrs in adjacency]
+    if not all(_automorphism(step, adjacency, neighbours) for step in _digit_steps(*reading)):
+        return None
+    least = list(range(graph.vertex_count))  # union-find; each root is its class's least
+
+    def find(v: int) -> int:
+        while least[v] != v:
+            least[v] = v = least[least[v]]
+        return v
+
+    for move in _stabiliser_moves(*reading):
+        if _automorphism(move, adjacency, neighbours):
+            for v, w in enumerate(move):
+                a, b = find(v), find(w)
+                least[max(a, b)] = min(a, b)
+    return tuple(find(v) for v in range(graph.vertex_count))
+
+
+def _connected_tasks(graph: Graph) -> list[tuple[int, int]]:
+    """The growth tasks whose sets include the lexicographically least
+    optimal side of any automorphism-invariant problem over connected sets.
+
+    Every task of every root on an uncertified graph. On a certified one the
+    least optimal side contains 0, so root 0's tasks; and when H moves 0's
+    least neighbour u (1 on K_L^n) onto all of N(0), the side can be taken
+    to hold {0, u} as well, so only task (0, 0): {0} and the sets holding
+    {0, u}.
+    """
+    masks = graph.neighbor_masks
+    orbit = _orbit_minima(graph)
+    if orbit is None:
+        return _growth_tasks(masks, graph.vertex_count, False)
+    nbrs = graph.adjacency[0]
+    if nbrs and all(orbit[w] == nbrs[0] for w in nbrs):
+        return [(0, 0)]
+    return _growth_tasks(masks, 1, False)
 
 
 # --- task runner --------------------------------------------------------------
@@ -437,19 +503,33 @@ def _beta_task(pair, cap):
 
     if max_m > 2:
         rec(v1 + 1, start_mask, 2, start_cut)
-    above = n - 1 - v1
-    visited = sum(math.comb(above, k) for k in range(max_m - 1))
-    return (best_cut, best_mask), visited
+    return (best_cut, best_mask), _beta_states(n, v1, max_m)
+
+
+def _beta_states(n: int, v1: int, max_m: int) -> int:
+    """The sets of size 2..max_m whose second least vertex is v1."""
+    return sum(math.comb(n - 1 - v1, k) for k in range(max_m - 1))
 
 
 def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
-    """Per-size minima over ALL subsets (sizes 1..max_m), or over those
-    containing vertex 0 on a certified vertex-transitive graph. Returns
-    (the least (cut, mask, size) entry of each size, visited)."""
+    """Per-size minima over ALL subsets (sizes 1..max_m). Returns (the least
+    (cut, mask, size) entry of each size, visited).
+
+    On a certified vertex-transitive graph only {0} and the sets whose two
+    least vertices are 0 and an orbit minimum v of H are scanned: some h in
+    H would take a side whose second vertex is not least in its orbit to a
+    lexicographically smaller side with the same cut.
+    """
     n = graph.vertex_count
-    roots = _roots(graph)
-    # the sets of size k whose least vertex is below roots
-    total = sum(math.comb(n, k) - math.comb(n - roots, k) for k in range(1, max_m + 1))
+    orbit = _orbit_minima(graph)
+    if orbit is None:
+        singles = range(n)
+        pairs = list(combinations(range(n), 2))
+    else:
+        singles = (0,)
+        pairs = [(0, v) for v in range(1, n) if orbit[v] == v]
+    tasks = pairs if max_m >= 2 else []
+    total = len(singles) + sum(_beta_states(n, v1, max_m) for _, v1 in tasks)
     if total > budget.max_subsets:
         raise SubsetBudgetError(
             f"{total} subsets of size <= {max_m} exceed max_subsets="
@@ -457,16 +537,14 @@ def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
         )
     masks = graph.neighbor_masks
     degrees = tuple(graph.degree(v) for v in range(n))
-    pairs = ((v0, v1) for v0 in range(roots) for v1 in range(v0 + 1, n))
-    tasks = list(pairs) if max_m >= 2 else []
     state = {"masks": masks, "degrees": degrees, "max_m": max_m, "n": n}
     results, visited = _run_tasks(_beta_task, state, tasks, budget)
-    entries = [_least((degrees[v], 1 << v, 1) for v in range(roots))]
+    entries = [_least((degrees[v], 1 << v, 1) for v in singles)]
     entries += [
         _least((cuts[size], found[size], size) for cuts, found in results if found[size])
         for size in range(2, max_m + 1)
     ]
-    return entries, visited + roots
+    return entries, visited + len(singles)
 
 
 # --- engine: rooted growth ----------------------------------------------------
@@ -529,11 +607,11 @@ def _growth_tasks(masks: tuple[int, ...], roots: int, free: bool) -> list[tuple[
     ]
 
 
-def _run_growth(graph: Graph, visitor, max_m: int, roots: int, budget: OracleBudget,
+def _run_growth(graph: Graph, visitor, max_m: int, tasks: list, budget: OracleBudget,
                 free: bool = False, **fields):
     """The visitor's partial results over the sets of at most max_m vertices
-    whose least vertex is below `roots` (connected, or arbitrary when free),
-    in task order, and the states visited."""
+    (connected, or arbitrary when free) that the growth tasks cover, in task
+    order, and the states visited."""
     masks = graph.neighbor_masks
     state = dict(
         fields,
@@ -544,7 +622,7 @@ def _run_growth(graph: Graph, visitor, max_m: int, roots: int, budget: OracleBud
         visitor=visitor,
         full=(1 << graph.vertex_count) - 1,
     )
-    return _run_tasks(_grow_task, state, _growth_tasks(masks, roots, free), budget)
+    return _run_tasks(_grow_task, state, tasks, budget)
 
 
 def _grow_task(item, cap):
@@ -621,7 +699,8 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
 
     mode 'any' scans all subsets; 'connected' requires the set side
     connected; 'bilateral' requires both sides. On a certified
-    vertex-transitive graph only the sets containing vertex 0 are visited.
+    vertex-transitive graph only sets containing vertex 0, pruned further
+    by the stabiliser of 0, are visited.
     """
     _require_oracle_scale(graph, budget)
     _check_m(graph, max_m)
@@ -630,7 +709,8 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     if mode not in ("connected", "bilateral"):
         raise DomainError(f"unknown mode {mode!r}")
     results, visited = _run_growth(
-        graph, _profile_visitor, max_m, _roots(graph), budget, bilateral=mode == "bilateral"
+        graph, _profile_visitor, max_m, _connected_tasks(graph), budget,
+        bilateral=mode == "bilateral",
     )
     return [_least(part[m] for part in results) for m in range(1, max_m + 1)], visited
 
@@ -819,8 +899,9 @@ def brute_conditional(
     every kind except isoperimetric, which scans arbitrary subsets of size
     h..floor(N/2) instead. Raises InfeasibleError when nothing qualifies.
     `params` is required for the embedded kind (sub-layer structure). On a
-    certified vertex-transitive graph only sides containing vertex 0 are
-    enumerated; the optimum, witness and atom size are the same.
+    certified vertex-transitive graph only sides containing vertex 0,
+    pruned further by the stabiliser of 0, are enumerated; the optimum,
+    witness and atom size are the same.
     """
     t0 = time.perf_counter()
     _require_oracle_scale(graph, budget)
@@ -839,7 +920,8 @@ def brute_conditional(
     else:
         pred = _side_predicate(cond, params, graph)
         results, visited = _run_growth(
-            graph, _cut_visitor, half, _roots(graph), budget, pred=pred, edges=graph.edge_count
+            graph, _cut_visitor, half, _connected_tasks(graph), budget,
+            pred=pred, edges=graph.edge_count,
         )
         best = _least(results)
         if best is None:
@@ -921,7 +1003,8 @@ def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget
     connected, or arbitrary when free is set.
     """
     results, _ = _run_growth(
-        graph, _partition_visitor, graph.vertex_count, 1, budget, free,
+        graph, _partition_visitor, graph.vertex_count,
+        _growth_tasks(graph.neighbor_masks, 1, free), budget, free,
         pred=part_ok, cut_budget=cut_budget,
     )
     cuts = [cut for cut, _, _ in results if cut is not None]

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from isocut import checks
 from isocut.cli import main
 from isocut.checks import CheckResult
-from isocut.closedform import CONDITION_KINDS
+from isocut.closedform import CONDITION_KINDS, decompose, max_degree_sum, min_edge_boundary
+from isocut.graphs import HammingParams
 
 
 def run(capsys, *argv):
@@ -68,6 +69,55 @@ class TestXi:
         code, out, err = run(capsys, "xi", "--L", "2", "--n", "3", "--m-range", text)
         assert (code, out) == (2, "")
         assert "[1, 4]" in err
+
+
+    @pytest.mark.parametrize("text", ["1..1", "1..8", "3..6"])
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_range_text_is_the_one_shot_text(self, capsys, fmt, text):
+        # the rows stream, but the text is what serialising them all at once gives
+        code, out, _ = run(
+            capsys, "xi", "--L", "2", "--n", "4", "--m-range", text, "--format", fmt
+        )
+        assert code == 0
+        lo, hi = map(int, text.split(".."))
+        rows = [
+            {"L": 2, "n": 4, "m": m, "decomposition": str(decompose(m, 2)),
+             "max_degree_sum": max_degree_sum(m, HammingParams(2, 4)),
+             "min_edge_boundary": min_edge_boundary(m, HammingParams(2, 4))}
+            for m in range(lo, hi + 1)
+        ]
+        if fmt == "json":
+            want = json.dumps({"schema_version": 1, "results": rows}, indent=2) + "\n"
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+            want = buf.getvalue()
+        else:
+            blank = "\n" if len(rows) > 1 else ""
+            want = "".join(
+                "".join(f"{k}: {v}\n" for k, v in row.items()) + blank for row in rows
+            )
+        assert out == want
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_range_streams(self, fmt):
+        # 10^12 sizes cannot be listed in memory: the first rows must reach
+        # stdout long before the range is exhausted, and a reader that stops
+        # early ends the run with exit 0 and no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isocut.cli", "xi", "--L", "2", "--n", "63",
+             "--m-range", "1..1000000000000", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        head = "".join(proc.stdout.readline() for _ in range(40))
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""
+        first = {"json": '"min_edge_boundary": 63', "csv": "2,63,1,1,0,63",
+                 "human": "min_edge_boundary: 63"}[fmt]
+        assert first in head
 
 
 class TestLambda:

@@ -279,6 +279,14 @@ DETERMINISM_CELLS = [
     ("embedded1-q3", _conditional_cell(2, 3, ConditionKind.embedded(1)), 2),
     ("two-part-cyclic-q4", _two_part_cell(2, 4, ConditionKind.cyclic()), 2),
     ("two-part-isoperimetric3-k42", _two_part_cell(4, 2, ConditionKind.isoperimetric(3)), 2),
+    # the pruned scan of K_5^2 runs the pairs (0, 1) and (0, 6) as two tasks
+    (
+        "any-k52",
+        lambda b: brute_boundary_profile(
+            hamming_graph(HammingParams(5, 2)), 8, mode="any", budget=b
+        ),
+        2,
+    ),
 ]
 
 
@@ -314,6 +322,12 @@ def connected_q4(max_subsets, chunks=1):
     return connected_half(hamming_graph(HammingParams(2, 4)), max_subsets, chunks)
 
 
+def connected_bc4(max_subsets, chunks=1):
+    # the certificate rejects this graph, so its 15910 connected sets of size
+    # <= 8 spread over 33 (root, first extension) tasks of at most 3365 states
+    return connected_half(bc_network(4, "seeded_random", seed=7), max_subsets, chunks)
+
+
 def assert_cap_is_exact(graph, exact, chunks):
     assert connected_half(graph, OracleBudget().max_subsets).subsets_visited == exact
     assert connected_half(graph, exact, chunks).subsets_visited == exact
@@ -339,32 +353,46 @@ class TestBudgets:
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_is_global(self, chunks):
-        # the root-0 scan visits 6593 states in all, but its largest
-        # (root, first extension) task visits 3246
+        # 15910 states in all, though every task fits under the cap
         with pytest.raises(SubsetBudgetError):
-            connected_q4(5000, chunks)
+            connected_bc4(5000, chunks)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count(self, chunks):
-        # the connected sets of size <= 8 that contain vertex 0
-        assert_cap_is_exact(hamming_graph(HammingParams(2, 4)), 6593, chunks)
+        # {0} and the connected sets of size <= 8 that hold {0, 1}: the one
+        # task (0, 0), since the stabiliser of 0 moves 1 onto all of N(0)
+        assert_cap_is_exact(hamming_graph(HammingParams(2, 4)), 3247, chunks)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count_not_transitive(self, chunks):
         # every connected set of size <= 8: the certificate rejects this graph
         assert_cap_is_exact(bc_network(4, "seeded_random", seed=7), 15910, chunks)
 
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_pruned_scan_cap_is_exact(self, chunks):
+        # {0} and the sets of size 2..8 whose two least vertices are (0, 1)
+        # or (0, 6), the orbit minima of the stabiliser of 0 in K_5^2:
+        # 1 + 145499 + 31180, against 536155 sets that contain 0
+        graph = hamming_graph(HammingParams(5, 2))
+        budget = OracleBudget(max_subsets=176680, parallel_chunks=chunks)
+        assert brute_min_boundary(graph, 8, budget=budget).subsets_visited == 176680
+        with pytest.raises(SubsetBudgetError):
+            brute_min_boundary(
+                graph, 8, budget=OracleBudget(max_subsets=176679, parallel_chunks=chunks)
+            )
+
 
 class TestPartitionBudget:
-    # on K_2^4 the cyclic bipartition search walks the 6593 connected sets up
-    # to size 8 that contain vertex 0; the scan of partitions into connected
-    # cyclic parts then takes 27905 states, counted against a budget of its own
+    # on K_2^4 the cyclic bipartition search walks {0} and the 3246 connected
+    # sets up to size 8 that hold {0, 1}; the scan of partitions into
+    # connected cyclic parts then takes 27905 states, counted against a
+    # budget of its own
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_partition_scan_is_capped(self, chunks):
         graph = hamming_graph(HammingParams(2, 4))
         cond = ConditionKind.cyclic()
-        budget = OracleBudget(max_subsets=6593, parallel_chunks=chunks)
-        assert brute_conditional(graph, cond, budget=budget).subsets_visited == 6593
+        budget = OracleBudget(max_subsets=3247, parallel_chunks=chunks)
+        assert brute_conditional(graph, cond, budget=budget).subsets_visited == 3247
         with pytest.raises(SubsetBudgetError):
             bipartite_property_check(graph, cond, budget=budget)
 
@@ -386,6 +414,11 @@ def q4_connected_result(max_subsets, chunks):
     return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
 
 
+def bc4_connected_result(max_subsets, chunks):
+    r = connected_bc4(max_subsets, chunks)
+    return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
+
+
 class TestPoolLifecycle:
     def test_reused_across_calls(self, start_method):
         connected_q4(10**6, 2)
@@ -395,11 +428,11 @@ class TestPoolLifecycle:
         assert len(first) == 2 and first == second
 
     def test_fresh_after_budget_error(self, start_method):
-        # the total passes the cap before all four tasks have reported, so
+        # the total passes the cap before all 33 tasks have reported, so
         # the workers may still be running some of them
         with pytest.raises(SubsetBudgetError):
-            connected_q4(5000, 2)
-        assert q4_connected_result(10**6, 2) == q4_connected_result(10**6, 1)
+            connected_bc4(5000, 2)
+        assert bc4_connected_result(10**6, 2) == bc4_connected_result(10**6, 1)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
@@ -410,9 +443,9 @@ class TestPoolLifecycle:
         code = (
             "import multiprocessing\n"
             "multiprocessing.set_start_method('fork')\n"
-            "from isocut import HammingParams, OracleBudget, SubsetBudgetError, hamming_graph\n"
+            "from isocut import OracleBudget, SubsetBudgetError, bc_network\n"
             "from isocut.oracle import brute_min_boundary_connected\n"
-            "graph = hamming_graph(HammingParams(2, 4))\n"
+            "graph = bc_network(4, 'seeded_random', seed=7)\n"
             "budget = OracleBudget(max_subsets=5000, parallel_chunks=2)\n"
             "for _ in range(300):\n"
             "    try:\n"
@@ -567,7 +600,7 @@ class TestBipartiteProperty:
         assert bipartite_property_check(k32, ConditionKind.extra(2))
 
 
-# --- root-0 enumeration on certified vertex-transitive graphs ------------------
+# --- root-0 enumeration and orbit pruning on certified graphs -----------------
 
 def assert_translations_reach_zero(graph, arity, dim):
     """For every vertex v, some composition of the digit steps sends v to 0
@@ -590,11 +623,45 @@ def assert_translations_reach_zero(graph, arity, dim):
         assert moved == edges, (graph.label, v)
 
 
+def assert_moves_fix_zero(graph, arity, dim):
+    """Every stabiliser move is a permutation that fixes 0 and maps the edge
+    set onto itself."""
+    n = graph.vertex_count
+    edges = set(graph.edges())
+    for move in oracle._stabiliser_moves(arity, dim):
+        assert move[0] == 0 and sorted(move) == list(range(n)), graph.label
+        assert {tuple(sorted((move[a], move[b]))) for a, b in edges} == edges, graph.label
+
+
+def weight_minima(arity, dim):
+    """The least vertex of the same Hamming weight as v, for every v of K_L^n:
+    the orbits of the stabiliser of 0 are the weight classes."""
+    def weight(v):
+        return sum(v // arity**p % arity != 0 for p in range(dim))
+
+    least = {}
+    for v in range(arity**dim):
+        least.setdefault(weight(v), v)
+    return tuple(least[weight(v)] for v in range(arity**dim))
+
+
 def relabelled(graph, seed):
     perm = list(range(graph.vertex_count))
     random.Random(seed).shuffle(perm)
     edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges()}
     return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
+
+
+def cayley_z3_squared():
+    """The Cayley graph of Z_3^2 with generators +-(1, 0) and +-(1, 1), with
+    (d0, d1) read as d0 + 3*d1. Its digit translations are automorphisms,
+    but neither the digit swap nor the value swap (1 2) at digit 0 is."""
+    gens = ((1, 0), (2, 0), (1, 1), (2, 2))
+    edges = {
+        tuple(sorted((d0 + 3 * d1, (d0 + g0) % 3 + 3 * ((d1 + g1) % 3))))
+        for d0 in range(3) for d1 in range(3) for g0, g1 in gens
+    }
+    return graph_from_edges(9, edges, "cayley-z3^2")
 
 
 class TestCertificate:
@@ -604,27 +671,43 @@ class TestCertificate:
                 if arity**dim > 32:
                     break
                 graph = hamming_graph(HammingParams(arity, dim))
-                assert oracle._translation_transitive(graph), graph.label
+                # every move is kept: the orbits are the whole weight classes
+                assert oracle._orbit_minima(graph) == weight_minima(arity, dim), graph.label
                 assert_translations_reach_zero(graph, arity, dim)
+                assert_moves_fix_zero(graph, arity, dim)
 
     def test_cayley_bc_networks(self):
         for dim in range(1, 6):
-            for policy in ("identity", "reversal"):
-                graph = bc_network(dim, policy)
-                assert oracle._translation_transitive(graph), graph.label
+            identity = bc_network(dim, "identity")
+            assert oracle._orbit_minima(identity) == weight_minima(2, dim), identity.label
+            assert_moves_fix_zero(identity, 2, dim)
+            for graph in (identity, bc_network(dim, "reversal")):
+                assert oracle._orbit_minima(graph) is not None, graph.label
                 assert_translations_reach_zero(graph, 2, dim)
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_seeded_random_bc_rejected(self, dim):
         for seed in BC_SEEDS:
             graph = bc_network(dim, "seeded_random", seed=seed)
-            assert not oracle._translation_transitive(graph), graph.label
+            assert oracle._orbit_minima(graph) is None, graph.label
 
     def test_rejected(self):
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], "star")
         k32 = hamming_graph(HammingParams(3, 2))
         for graph in (pocket_graph(), star, relabelled(k32, seed=1)):
-            assert not oracle._translation_transitive(graph), graph.label
+            assert oracle._orbit_minima(graph) is None, graph.label
+
+    def test_translations_without_stabiliser(self, monkeypatch):
+        graph = cayley_z3_squared()
+        assert_translations_reach_zero(graph, 3, 2)
+        neighbours = [set(nbrs) for nbrs in graph.adjacency]
+        moves = oracle._stabiliser_moves(3, 2)
+        assert len(moves) == 2
+        assert not any(oracle._automorphism(m, graph.adjacency, neighbours) for m in moves)
+        assert oracle._orbit_minima(graph) == tuple(range(9))
+        pruned = oracle_outcomes(graph, None, 4)
+        monkeypatch.setattr(oracle, "_stabiliser_moves", lambda arity, dim: [])
+        assert pruned == oracle_outcomes(graph, None, 4)  # states too
 
 
 def condition_grid(graph, params):
@@ -653,8 +736,20 @@ def oracle_outcomes(graph, params, max_m):
         results.append((cond.describe(), r.optimum, r.witness, r.atom_size, r.report, holds))
         states.append(r.subsets_visited)
     for mode in ("any", "connected", "bilateral"):
-        results.append((mode, brute_boundary_profile(graph, max_m, mode)))
+        entries, visited = oracle._profile(graph, max_m, mode, oracle.DEFAULT_BUDGET)
+        results.append((mode, entries))
+        states.append(visited)
     return results, states
+
+
+def three_levels(monkeypatch, run):
+    """run() with root 0 and the stabiliser of 0, with root 0 alone, and
+    with the full enumeration."""
+    pruned = run()
+    monkeypatch.setattr(oracle, "_stabiliser_moves", lambda arity, dim: [])
+    root_zero = run()
+    monkeypatch.setattr(oracle, "_base_reading", lambda graph: None)
+    return pruned, root_zero, run()
 
 
 REDUCTION_GRAPHS = [
@@ -673,25 +768,29 @@ class TestRootZeroReduction:
     )
     def test_only_the_work_changes(self, monkeypatch, make, params):
         graph = make()
-        transitive = oracle._translation_transitive(graph)
-        reduced, reduced_states = oracle_outcomes(graph, params, graph.vertex_count // 2)
-        monkeypatch.setattr(oracle, "_translation_transitive", lambda graph: False)
-        full, full_states = oracle_outcomes(graph, params, graph.vertex_count // 2)
-        assert reduced == full
-        pairs = list(zip(reduced_states, full_states))
-        if transitive:
-            assert all(r < f for r, f in pairs)
+        orbit = oracle._orbit_minima(graph)
+        (pruned, pruned_states), (root_zero, root_zero_states), (full, full_states) = (
+            three_levels(monkeypatch, lambda: oracle_outcomes(graph, params, graph.vertex_count // 2))
+        )
+        assert pruned == root_zero == full
+        root_pairs = list(zip(root_zero_states, full_states))
+        pruned_pairs = list(zip(pruned_states, root_zero_states))
+        if orbit is None:
+            assert all(r == f for r, f in root_pairs) and all(p == r for p, r in pruned_pairs)
+        elif len({orbit[w] for w in graph.adjacency[0]}) == 1:
+            # H is transitive on N(0): every engine visits strictly less
+            assert all(r < f for r, f in root_pairs) and all(p < r for p, r in pruned_pairs)
         else:
-            assert all(r == f for r, f in pairs)
+            assert all(r < f for r, f in root_pairs) and all(p <= r for p, r in pruned_pairs)
 
     @pytest.mark.parametrize("arity,dim,max_m", [(3, 3, 5), (5, 2, 6)])
     def test_profiles_unchanged(self, monkeypatch, arity, dim, max_m):
         graph = hamming_graph(HammingParams(arity, dim))
         modes = ("any", "connected", "bilateral")
-        reduced = [brute_boundary_profile(graph, max_m, mode) for mode in modes]
-        monkeypatch.setattr(oracle, "_translation_transitive", lambda graph: False)
-        full = [brute_boundary_profile(graph, max_m, mode) for mode in modes]
-        assert reduced == full
+        pruned, root_zero, full = three_levels(
+            monkeypatch, lambda: [brute_boundary_profile(graph, max_m, mode) for mode in modes]
+        )
+        assert pruned == root_zero == full
 
 
 # --- partition scan against a direct enumeration of set partitions --------------
