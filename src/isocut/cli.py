@@ -6,8 +6,8 @@ connectivities), `construct` (optimal sets with a materialized cut report),
 by default; `--format json` and `--format csv` are schema-stable, and every
 JSON payload carries schema_version.
 
-Exit codes: 0 success (also when the reader closes stdout early), 2
-domain/unsupported error, 3 budget exceeded, 4 verification failure.
+Exit codes: 0 success, 2 domain/unsupported error, 3 budget exceeded,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -420,11 +420,6 @@ def main(argv=None) -> int:
     except IsocutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout early, as `| head` does: stop there, and
-        # send what is still buffered to devnull so the exit flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
 
 
 if __name__ == "__main__":

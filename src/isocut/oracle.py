@@ -49,10 +49,14 @@ or idea with the formula side. Working notes on the engines:
   base-L reading, each kept only if it is one). The least optimal side's
   second vertex v is least in its H-orbit, or some h in H would map the
   side to a lesser optimal one that still holds 0. So the scan takes only
-  the pairs (0, v) with v an orbit minimum, and rooted growth only task
-  (0, 0), {0} and the sets holding 0 and its least neighbour u, when H
-  moves u onto all of N(0) (on K_L^n, u = 1 and H is the whole stabiliser
-  of 0). The state counts drop; values, witnesses and atom sizes do not
+  the pairs (0, v) with v an orbit minimum. Rooted growth takes only task
+  (0, 0), {0} and the sets holding {0, 1}, when 1 is a neighbour of 0 and
+  H moves 1 onto all of N(0) (on K_L^n H is the whole stabiliser of 0): a
+  larger connected side holds some w in N(0), and an h with h(w) = 1 maps
+  it to a side starting (0, 1), so the least one holds 1. With 0's least
+  neighbour u > 1 that fails, since a side may hold some x < u not in N(0);
+  growth then takes root 0's tasks. The state counts drop; values,
+  witnesses and atom sizes do not
   change. The certificate reads only the adjacency, never the label, and
   is the sole gate: every other graph gets the full enumeration. The
   partition scan is not pruned: its achiever count counts every partition.
@@ -319,17 +323,19 @@ def _connected_tasks(graph: Graph) -> list[tuple[int, int]]:
     optimal side of any automorphism-invariant problem over connected sets.
 
     Every task of every root on an uncertified graph. On a certified one the
-    least optimal side contains 0, so root 0's tasks; and when H moves 0's
-    least neighbour u (1 on K_L^n) onto all of N(0), the side can be taken
-    to hold {0, u} as well, so only task (0, 0): {0} and the sets holding
-    {0, u}.
+    least optimal side contains 0, so root 0's tasks; and when 1 is in N(0)
+    and H moves 1 onto all of N(0), a larger side holds some w in N(0) and
+    maps to a side holding {0, 1}, which is no greater, so the least side
+    holds 1 too: only task (0, 0), {0} and the sets holding {0, 1}. Were
+    0's least neighbour u > 1, a side could hold 0 and some x < u outside
+    N(0) and be less than every side holding {0, u}.
     """
     masks = graph.neighbor_masks
     orbit = _orbit_minima(graph)
     if orbit is None:
         return _growth_tasks(masks, graph.vertex_count, False)
     nbrs = graph.adjacency[0]
-    if nbrs and all(orbit[w] == nbrs[0] for w in nbrs):
+    if nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
         return [(0, 0)]
     return _growth_tasks(masks, 1, False)
 

@@ -652,6 +652,14 @@ def relabelled(graph, seed):
     return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
 
 
+def weight3_q4():
+    """The Cayley graph of Z_2^4 on the weight-3 generators {7, 11, 13, 14}:
+    a hypercube whose ids pass the certificate, with every digit-position
+    swap an automorphism, but with 0's least neighbour 7, not 1."""
+    edges = {tuple(sorted((v, v ^ g))) for v in range(16) for g in (7, 11, 13, 14)}
+    return graph_from_edges(16, edges, "q4-weight3")
+
+
 def cayley_z3_squared():
     """The Cayley graph of Z_3^2 with generators +-(1, 0) and +-(1, 1), with
     (d0, d1) read as d0 + 3*d1. Its digit translations are automorphisms,
@@ -696,6 +704,17 @@ class TestCertificate:
         k32 = hamming_graph(HammingParams(3, 2))
         for graph in (pocket_graph(), star, relabelled(k32, seed=1)):
             assert oracle._orbit_minima(graph) is None, graph.label
+
+    def test_least_neighbour_above_one(self):
+        # H moves 7 onto all of N(0), yet the least optimal connected 4-set
+        # {0, 3, 13, 14} does not hold 7: growth must keep root 0's tasks
+        graph = weight3_q4()
+        assert oracle._orbit_minima(graph) == weight_minima(2, 4)
+        assert graph.adjacency[0][0] == 7
+        assert oracle._connected_tasks(graph) == oracle._growth_tasks(
+            graph.neighbor_masks, 1, False
+        )
+        assert brute_min_boundary_connected(graph, 4).witness == (0, 3, 13, 14)
 
     def test_translations_without_stabiliser(self, monkeypatch):
         graph = cayley_z3_squared()
@@ -759,7 +778,7 @@ REDUCTION_GRAPHS = [
 ] + [
     (f"bc4-{policy}", partial(bc_network, 4, policy, seed=7), None)
     for policy in ("identity", "reversal", "seeded_random")
-]
+] + [("q4-weight3", weight3_q4, None)]
 
 
 class TestRootZeroReduction:
@@ -777,8 +796,8 @@ class TestRootZeroReduction:
         pruned_pairs = list(zip(pruned_states, root_zero_states))
         if orbit is None:
             assert all(r == f for r, f in root_pairs) and all(p == r for p, r in pruned_pairs)
-        elif len({orbit[w] for w in graph.adjacency[0]}) == 1:
-            # H is transitive on N(0): every engine visits strictly less
+        elif {orbit[w] for w in graph.adjacency[0]} == {1}:
+            # 1 is in N(0) and H moves it onto N(0): every engine visits strictly less
             assert all(r < f for r, f in root_pairs) and all(p < r for p, r in pruned_pairs)
         else:
             assert all(r < f for r, f in root_pairs) and all(p <= r for p, r in pruned_pairs)
