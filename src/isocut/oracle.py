@@ -13,7 +13,9 @@ or idea with the formula side. Working notes on the engines:
   witness for free. It stays beside the walker, which is about twice as
   slow on arbitrary sets: the 536,155 sets of K_5^2 up to size 8 that
   contain vertex 0 take about 0.2 s scanned and 0.4 s walked from a free
-  start with per-size minima (Python 3.11, one core).
+  start with per-size minima (Python 3.11, one core). It takes the free
+  walker's tasks and returns the profile visitor's per-size entries, so
+  one reduction builds every profile.
 * One walker, rooted growth in the style of ESU (Wernicke 2006), does every
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
@@ -40,26 +42,30 @@ or idea with the formula side. Working notes on the engines:
   visitor prunes by a cut budget at every part and starts the next peel;
   it runs the first part through the task runner like the other visitors,
   and nested peels draw on the same task's state tally.
-* On a graph that ``_orbit_minima`` certifies vertex-transitive, both
-  enumerators visit only sets that contain vertex 0. Every condition here
-  is invariant under automorphisms, so some optimal side contains 0, and
-  the lexicographically least optimal side does: a tuple starting with 0
-  is less than any that does not. The same certificate yields a group H of
+* On a graph that ``_orbit_minima`` certifies vertex-transitive, every
+  engine visits only sets that contain vertex 0, pruned further by one
+  task rule, ``_tasks``. Every condition here is invariant under
+  automorphisms, so some optimal side contains 0, and the
+  lexicographically least optimal side does: a tuple starting with 0 is
+  less than any that does not. The same certificate yields a group H of
   automorphisms fixing 0 (digit-position swaps and value swaps of the
   base-L reading, each kept only if it is one). The least optimal side's
   second vertex v is least in its H-orbit, or some h in H would map the
-  side to a lesser optimal one that still holds 0. So the scan takes only
-  the pairs (0, v) with v an orbit minimum. Rooted growth takes only task
-  (0, 0), {0} and the sets holding {0, 1}, when 1 is a neighbour of 0 and
-  H moves 1 onto all of N(0) (on K_L^n H is the whole stabiliser of 0): a
-  larger connected side holds some w in N(0), and an h with h(w) = 1 maps
-  it to a side starting (0, 1), so the least one holds 1. With 0's least
-  neighbour u > 1 that fails, since a side may hold some x < u not in N(0);
-  growth then takes root 0's tasks. The state counts drop; values,
-  witnesses and atom sizes do not
-  change. The certificate reads only the adjacency, never the label, and
-  is the sole gate: every other graph gets the full enumeration. The
-  partition scan is not pruned: its achiever count counts every partition.
+  side to a lesser optimal one that still holds 0. So a free start takes
+  only the tasks (0, v - 1), the sets whose second vertex is v, with v an
+  orbit minimum. Connected growth takes only task (0, 0), {0} and the sets
+  holding {0, 1}, when 1 is a neighbour of 0 and H moves 1 onto all of
+  N(0) (on K_L^n H is the whole stabiliser of 0): a larger connected side
+  holds some w in N(0), and an h with h(w) = 1 maps it to a side starting
+  (0, 1), so the least one holds 1. With 0's least neighbour u > 1 that
+  fails, since a side may hold some x < u not in N(0); growth then takes
+  root 0's tasks. The partition scan's first part, which always holds 0,
+  takes the same tasks: H maps each partition to one with the same cut,
+  part count and qualifying parts, and the scan reports only the least
+  cut and the part counts that reach it. The state counts drop; values,
+  witnesses, atom sizes and two-part verdicts do not change. The
+  certificate reads only the adjacency, never the label, and is the sole
+  gate: every other graph gets the full enumeration.
 * Both enumerators split their work into tasks that go through one runner,
   in-process or over a process pool. Results come back in task order and
   are combined with a deterministic min-reduction, so parallel results
@@ -318,26 +324,32 @@ def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
     return tuple(find(v) for v in range(graph.vertex_count))
 
 
-def _connected_tasks(graph: Graph) -> list[tuple[int, int]]:
-    """The growth tasks whose sets include the lexicographically least
-    optimal side of any automorphism-invariant problem over connected sets.
-
-    Every task of every root on an uncertified graph. On a certified one the
-    least optimal side contains 0, so root 0's tasks; and when 1 is in N(0)
-    and H moves 1 onto all of N(0), a larger side holds some w in N(0) and
-    maps to a side holding {0, 1}, which is no greater, so the least side
-    holds 1 too: only task (0, 0), {0} and the sets holding {0, 1}. Were
-    0's least neighbour u > 1, a side could hold 0 and some x < u outside
-    N(0) and be less than every side holding {0, u}.
+def _tasks(graph: Graph, free: bool, rooted: bool = False) -> list[tuple[int, int]]:
+    """The (root, ext_index) tasks whose sets include the lexicographically
+    least optimal side of any automorphism-invariant problem over connected
+    sets, or over arbitrary sets when free: every root's on an uncertified
+    graph (root 0's when rooted), and on a certified one root 0's, pruned
+    under H as the module notes say. Were 0's least neighbour u > 1, a
+    connected side could hold 0 and some x < u outside N(0) and be less
+    than every side holding {0, u}, so the lone task (0, 0) needs u = 1.
     """
+    n = graph.vertex_count
     masks = graph.neighbor_masks
     orbit = _orbit_minima(graph)
-    if orbit is None:
-        return _growth_tasks(masks, graph.vertex_count, False)
-    nbrs = graph.adjacency[0]
-    if nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
-        return [(0, 0)]
-    return _growth_tasks(masks, 1, False)
+    if orbit is not None:
+        if free:
+            return [(0, v - 1) for v in range(1, n) if orbit[v] == v]
+        nbrs = graph.adjacency[0]
+        if nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
+            return [(0, 0)]
+    roots = n if orbit is None and not rooted else 1
+    full = (1 << n) - 1
+    # one task per first extension of each root, and a lone (root, 0) for a root with none
+    return [
+        (root, j)
+        for root in range(roots)
+        for j in range(max(1, _root_start(masks, root, full, free)[0].bit_count()))
+    ]
 
 
 # --- task runner --------------------------------------------------------------
@@ -474,24 +486,26 @@ def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
 
 # --- engine: fixed-size scan, no connectivity --------------------------------
 
-def _beta_task(pair, cap):
-    """All subsets whose two smallest elements are `pair`, sizes 2..max_m.
+def _beta_task(item, cap):
+    """The least (cut, mask, size) entry of each size 1..max_m, None where
+    nothing was scanned, over the sets whose least vertex is root and whose
+    second is the ext_index-th vertex above root; task (root, 0) also takes
+    {root}.
 
     The caller checks the whole scan against the budget up front, so cap is
     never reached here.
     """
-    v0, v1 = pair
+    root, ext_index = item
     masks = _W["masks"]
     degrees = _W["degrees"]
-    n = _W["n"]
     max_m = _W["max_m"]
+    n = len(masks)
+    v1 = root + 1 + ext_index
     best_cut = [None] * (max_m + 1)
     best_mask = [None] * (max_m + 1)
-
-    start_mask = (1 << v0) | (1 << v1)
-    start_cut = degrees[v0] + degrees[v1] - 2 * ((masks[v0] >> v1) & 1)
-    best_cut[2] = start_cut
-    best_mask[2] = start_mask
+    if ext_index == 0:
+        best_cut[1] = degrees[root]
+        best_mask[1] = 1 << root
 
     def rec(start: int, mask: int, size: int, cut: int) -> None:
         nsize = size + 1
@@ -507,50 +521,26 @@ def _beta_task(pair, cap):
             if grow:
                 rec(v + 1, mask | bit, nsize, ncut)
 
-    if max_m > 2:
-        rec(v1 + 1, start_mask, 2, start_cut)
-    return (best_cut, best_mask), _beta_states(n, v1, max_m)
-
-
-def _beta_states(n: int, v1: int, max_m: int) -> int:
-    """The sets of size 2..max_m whose second least vertex is v1."""
-    return sum(math.comb(n - 1 - v1, k) for k in range(max_m - 1))
-
-
-def _beta_profile(graph: Graph, max_m: int, budget: OracleBudget):
-    """Per-size minima over ALL subsets (sizes 1..max_m). Returns (the least
-    (cut, mask, size) entry of each size, visited).
-
-    On a certified vertex-transitive graph only {0} and the sets whose two
-    least vertices are 0 and an orbit minimum v of H are scanned: some h in
-    H would take a side whose second vertex is not least in its orbit to a
-    lexicographically smaller side with the same cut.
-    """
-    n = graph.vertex_count
-    orbit = _orbit_minima(graph)
-    if orbit is None:
-        singles = range(n)
-        pairs = list(combinations(range(n), 2))
-    else:
-        singles = (0,)
-        pairs = [(0, v) for v in range(1, n) if orbit[v] == v]
-    tasks = pairs if max_m >= 2 else []
-    total = len(singles) + sum(_beta_states(n, v1, max_m) for _, v1 in tasks)
-    if total > budget.max_subsets:
-        raise SubsetBudgetError(
-            f"{total} subsets of size <= {max_m} exceed max_subsets="
-            f"{budget.max_subsets}"
-        )
-    masks = graph.neighbor_masks
-    degrees = tuple(graph.degree(v) for v in range(n))
-    state = {"masks": masks, "degrees": degrees, "max_m": max_m, "n": n}
-    results, visited = _run_tasks(_beta_task, state, tasks, budget)
-    entries = [_least((degrees[v], 1 << v, 1) for v in singles)]
-    entries += [
-        _least((cuts[size], found[size], size) for cuts, found in results if found[size])
-        for size in range(2, max_m + 1)
+    if v1 < n and max_m > 1:
+        start_mask = (1 << root) | (1 << v1)
+        start_cut = degrees[root] + degrees[v1] - 2 * ((masks[root] >> v1) & 1)
+        best_cut[2] = start_cut
+        best_mask[2] = start_mask
+        if max_m > 2:
+            rec(v1 + 1, start_mask, 2, start_cut)
+    entries = [
+        None if cut is None else (cut, mask, size)
+        for size, (cut, mask) in enumerate(zip(best_cut, best_mask))
     ]
-    return entries, visited + len(singles)
+    return entries, _scan_states(n, item, max_m)
+
+
+def _scan_states(n: int, item: tuple[int, int], max_m: int) -> int:
+    """The sets of size 1..max_m that task `item` of the fixed-size scan takes."""
+    root, ext_index = item
+    above = n - 2 - root - ext_index  # vertices above the second one
+    pairs = sum(math.comb(above, k) for k in range(max_m - 1)) if above >= 0 else 0
+    return (ext_index == 0) + pairs
 
 
 # --- engine: rooted growth ----------------------------------------------------
@@ -602,33 +592,17 @@ def _root_start(rows, root: int, pool: int, free: bool) -> tuple[int, int]:
     return ext, low_mask | ext
 
 
-def _growth_tasks(masks: tuple[int, ...], roots: int, free: bool) -> list[tuple[int, int]]:
-    """One (root, ext_index) task per first extension of each root below
-    `roots`, and a lone (root, 0) for a root with none."""
-    full = (1 << len(masks)) - 1
-    return [
-        (root, j)
-        for root in range(roots)
-        for j in range(max(1, _root_start(masks, root, full, free)[0].bit_count()))
-    ]
-
-
-def _run_growth(graph: Graph, visitor, max_m: int, tasks: list, budget: OracleBudget,
-                free: bool = False, **fields):
-    """The visitor's partial results over the sets of at most max_m vertices
-    (connected, or arbitrary when free) that the growth tasks cover, in task
-    order, and the states visited."""
-    masks = graph.neighbor_masks
+def _run_engine(graph: Graph, task, max_m: int, items: list, budget: OracleBudget, **fields):
+    """The results of task over the (root, ext_index) items, in order, and
+    the states visited, on sets of at most max_m vertices."""
     state = dict(
         fields,
-        masks=masks,
+        masks=graph.neighbor_masks,
         degrees=tuple(graph.degree(v) for v in range(graph.vertex_count)),
         max_m=max_m,
-        free=free,
-        visitor=visitor,
         full=(1 << graph.vertex_count) - 1,
     )
-    return _run_tasks(_grow_task, state, tasks, budget)
+    return _run_tasks(task, state, items, budget)
 
 
 def _grow_task(item, cap):
@@ -710,13 +684,20 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     """
     _require_oracle_scale(graph, budget)
     _check_m(graph, max_m)
-    if mode == "any":
-        return _beta_profile(graph, max_m, budget)
-    if mode not in ("connected", "bilateral"):
+    if mode not in ("any", "connected", "bilateral"):
         raise DomainError(f"unknown mode {mode!r}")
-    results, visited = _run_growth(
-        graph, _profile_visitor, max_m, _connected_tasks(graph), budget,
-        bilateral=mode == "bilateral",
+    free = mode == "any"
+    tasks = _tasks(graph, free)
+    if free:
+        total = sum(_scan_states(graph.vertex_count, item, max_m) for item in tasks)
+        if total > budget.max_subsets:
+            raise SubsetBudgetError(
+                f"{total} subsets of size <= {max_m} exceed max_subsets="
+                f"{budget.max_subsets}"
+            )
+    results, visited = _run_engine(
+        graph, _beta_task if free else _grow_task, max_m, tasks, budget,
+        free=free, visitor=_profile_visitor, bilateral=mode == "bilateral",
     )
     return [_least(part[m] for part in results) for m in range(1, max_m + 1)], visited
 
@@ -921,13 +902,13 @@ def brute_conditional(
                 f"isoperimetric({h}) needs both sides >= {h}, impossible on "
                 f"{n} vertices"
             )
-        entries, visited = _beta_profile(graph, half, budget)
+        entries, visited = _profile(graph, half, "any", budget)
         best = _least(entries[h - 1:])
     else:
         pred = _side_predicate(cond, params, graph)
-        results, visited = _run_growth(
-            graph, _cut_visitor, half, _connected_tasks(graph), budget,
-            pred=pred, edges=graph.edge_count,
+        results, visited = _run_engine(
+            graph, _grow_task, half, _tasks(graph, False), budget,
+            free=False, visitor=_cut_visitor, pred=pred, edges=graph.edge_count,
         )
         best = _least(results)
         if best is None:
@@ -955,9 +936,9 @@ def brute_extra_connectivity(
 # --- two-part property of minimum conditional cuts ----------------------------
 
 def _partition_visitor(state: dict, tally):
-    """(min_cut, part_counts_at_min, achiever_count) over the partitions into
-    >= 2 qualifying parts with cut <= state['cut_budget'] whose first part
-    is a visited set; min_cut is None when nothing fit the budget.
+    """(min_cut, part_counts_at_min) over the partitions into >= 2
+    qualifying parts with cut <= state['cut_budget'] whose first part is a
+    visited set; min_cut is None when nothing fit the budget.
 
     Each visited part is peeled off, and the next part is grown from the
     least vertex left, inside what is left, by a walker on the same tally.
@@ -968,7 +949,6 @@ def _partition_visitor(state: dict, tally):
     free = state["free"]
     best = None
     zs: set[int] = set()
-    hits = 0
 
     def parts_of(pool: int, acc_cut: int, parts: int):
         """The visitor of the candidate parts grown inside pool; their cut
@@ -981,14 +961,13 @@ def _partition_visitor(state: dict, tally):
         return visit
 
     def peel(pool: int, acc_cut: int, parts: int) -> None:
-        nonlocal best, zs, hits
+        nonlocal best, zs
         if not pool:
             if parts >= 2:
                 if best is None or acc_cut < best:
-                    best, zs, hits = acc_cut, {parts}, 1
+                    best, zs = acc_cut, {parts}
                 elif acc_cut == best:
                     zs.add(parts)
-                    hits += 1
             return
         rows = tuple(row & pool for row in masks)
         degrees = tuple(row.bit_count() for row in rows)
@@ -997,28 +976,28 @@ def _partition_visitor(state: dict, tally):
         ext, seen = _root_start(rows, root, pool, free)
         grow(1 << root, ext, seen, 1, degrees[root], 0)
 
-    return parts_of(state["full"], 0, 0), lambda: (best, zs, hits)
+    return parts_of(state["full"], 0, 0), lambda: (best, zs)
 
 
 def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget: OracleBudget):
     """Scan unordered partitions into >= 2 qualifying parts with cut <= budget.
 
-    Returns (min_cut, part_counts_at_min, achiever_count); min_cut is None
-    when nothing fit the budget. Each part contains the least vertex not yet
-    assigned, which enumerates every partition exactly once. Parts are
-    connected, or arbitrary when free is set.
+    Returns (min_cut, part_counts_at_min); min_cut is None when nothing fit
+    the budget. Each part contains the least vertex not yet assigned, which
+    enumerates every partition exactly once. Parts are connected, or
+    arbitrary when free is set. On a certified graph the first part is
+    pruned under H like a side of a bipartition: H fixes 0 and maps each
+    partition to one with the same cut, part count and qualifying parts.
     """
-    results, _ = _run_growth(
-        graph, _partition_visitor, graph.vertex_count,
-        _growth_tasks(graph.neighbor_masks, 1, free), budget, free,
-        pred=part_ok, cut_budget=cut_budget,
+    results, _ = _run_engine(
+        graph, _grow_task, graph.vertex_count, _tasks(graph, free, rooted=True), budget,
+        free=free, visitor=_partition_visitor, pred=part_ok, cut_budget=cut_budget,
     )
-    cuts = [cut for cut, _, _ in results if cut is not None]
+    cuts = [cut for cut, _ in results if cut is not None]
     if not cuts:
-        return None, set(), 0
+        return None, set()
     best = min(cuts)
-    at_min = [entry for entry in results if entry[0] == best]
-    return best, set().union(*(e[1] for e in at_min)), sum(e[2] for e in at_min)
+    return best, set().union(*(zs for cut, zs in results if cut == best))
 
 
 def bipartite_property_check(
@@ -1035,7 +1014,7 @@ def bipartite_property_check(
     property holds iff no multi-part partition beats or ties it.
     """
     base = brute_conditional(graph, cond, params=params, budget=budget)
-    minimum, zs, _ = _partition_minima(
+    minimum, zs = _partition_minima(
         graph,
         _side_predicate(cond, params, graph),
         base.optimum,

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -290,6 +291,15 @@ class TestVerify:
         assert graphs == {f"K_{a}^{d}" for a, d in checks.TWO_PART_GRAPHS}
         assert all(c["status"] == "pass" for c in two_part)
 
+    def test_threads_above_cpu_count_exit_2(self, capsys, monkeypatch):
+        # rejected before any oracle worker process starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        before = {p.pid for p in multiprocessing.active_children()}
+        code, _, err = run(capsys, "verify", "--scope", "oracle", "--threads", "2")
+        assert code == 2
+        assert "--threads must be in [1, 1], got 2" in err
+        assert {p.pid for p in multiprocessing.active_children()} == before
+
     def test_budget_exit_3(self, capsys):
         code, _, err = run(
             capsys, "verify", "--scope", "oracle", "--max-subsets", "10"
@@ -432,7 +442,8 @@ VERIFY = joined(
             st.sampled_from(["oracle", "bc", "nowhere"]), ints(-3, 40, big=st.just(-1))
         ).map(lambda v: ["--scope", v[0], "--max-subsets", v[1]]),
     ),
-    option("--threads", ints(-2, 1, big=st.just(-(10**30)))),
+    # 10**30 must be rejected before the oracle would start that many workers
+    option("--threads", ints(-2, 1, big=st.sampled_from([-(10**30), 10**30]))),
     option("--max-vertices", SMALL_CAP),
     FORMAT,
 )

@@ -6,6 +6,8 @@ nothing but the graph. Witnesses must match too: both sides resolve ties
 by the lexicographically least sorted vertex tuple.
 """
 
+import ast
+import contextlib
 import itertools
 import multiprocessing
 import random
@@ -13,6 +15,8 @@ import subprocess
 import sys
 import threading
 from functools import partial
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -93,6 +97,36 @@ CROSS_CHECK_GRAPHS = [
     ("bc3-seed7", lambda: bc_network(3, "seeded_random", seed=7), 4),
     ("pocket", pocket_graph, 6),
 ]
+
+
+def imported_names(path):
+    """(module, name) for each name a source file imports, the package
+    dropped from the module: `from .closedform import X` and `from
+    isocut.closedform import X` both give ("closedform", "X"), and a whole
+    module, as in `from . import checks`, gives ("checks", "*")."""
+    out = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            out |= {(module.removeprefix("isocut."), "*") for module in modules}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("isocut").lstrip(".")
+            if module:
+                out |= {(module, alias.name) for alias in node.names}
+            else:
+                out |= {(alias.name, "*") for alias in node.names}
+    return out
+
+
+class TestIndependence:
+    def test_oracle_shares_no_formula_code(self):
+        # the oracle certifies the closed forms, so it may take only the
+        # condition type from them, and nothing from the suites that compare
+        imports = imported_names(oracle.__file__)
+        assert {name for module, name in imports if module == "closedform"} == {"ConditionKind"}
+        assert not {name for module, name in imports if module == "checks"}
 
 
 class TestAgainstReference:
@@ -241,7 +275,7 @@ def _conditional_cell(arity, dim, cond):
 
 
 def partition_minima(graph, cond, params, cut_budget, budget=oracle.DEFAULT_BUDGET):
-    """The (min_cut, part_counts, achiever_count) of the oracle's partition scan."""
+    """The (min_cut, part_counts) of the oracle's partition scan."""
     pred = oracle._side_predicate(cond, params, graph)
     return oracle._partition_minima(
         graph, pred, cut_budget, cond.kind == "isoperimetric", budget
@@ -385,8 +419,8 @@ class TestBudgets:
 class TestPartitionBudget:
     # on K_2^4 the cyclic bipartition search walks {0} and the 3246 connected
     # sets up to size 8 that hold {0, 1}; the scan of partitions into
-    # connected cyclic parts then takes 27905 states, counted against a
-    # budget of its own
+    # connected cyclic parts, its first part pruned the same way, then takes
+    # 15918 states, counted against a budget of its own
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_partition_scan_is_capped(self, chunks):
         graph = hamming_graph(HammingParams(2, 4))
@@ -401,11 +435,11 @@ class TestPartitionBudget:
         graph = hamming_graph(HammingParams(2, 4))
         cond = ConditionKind.cyclic()
         assert bipartite_property_check(
-            graph, cond, budget=OracleBudget(max_subsets=27905, parallel_chunks=chunks)
+            graph, cond, budget=OracleBudget(max_subsets=15918, parallel_chunks=chunks)
         )
         with pytest.raises(SubsetBudgetError):
             bipartite_property_check(
-                graph, cond, budget=OracleBudget(max_subsets=27904, parallel_chunks=chunks)
+                graph, cond, budget=OracleBudget(max_subsets=15917, parallel_chunks=chunks)
             )
 
 
@@ -711,9 +745,7 @@ class TestCertificate:
         graph = weight3_q4()
         assert oracle._orbit_minima(graph) == weight_minima(2, 4)
         assert graph.adjacency[0][0] == 7
-        assert oracle._connected_tasks(graph) == oracle._growth_tasks(
-            graph.neighbor_masks, 1, False
-        )
+        assert oracle._tasks(graph, False) == [(0, j) for j in range(len(graph.adjacency[0]))]
         assert brute_min_boundary_connected(graph, 4).witness == (0, 3, 13, 14)
 
     def test_translations_without_stabiliser(self, monkeypatch):
@@ -742,23 +774,58 @@ def condition_grid(graph, params):
     return out
 
 
+@contextlib.contextmanager
+def recorded_partition_scans():
+    """A list that gets the (outcome, states visited) of every partition
+    scan run inside the block, bipartite_property_check's included."""
+    record = []
+    scan, run_tasks = oracle._partition_minima, oracle._run_tasks
+
+    def recorded(*args):
+        visits = []
+
+        def counted(*task_args):
+            results, visited = run_tasks(*task_args)
+            visits.append(visited)
+            return results, visited
+
+        with mock.patch.object(oracle, "_run_tasks", counted):
+            outcome = scan(*args)
+        record.append((outcome, visits[0]))
+        return outcome
+
+    with mock.patch.object(oracle, "_partition_minima", recorded):
+        yield record
+
+
+# Bell(9) = 21147: up to 9 vertices the partition scan can also run at a cut
+# budget that admits every partition; on 16 it would near Bell(16) ~ 1e10
+FULL_BUDGET_SCAN_VERTICES = 9
+
+
 def oracle_outcomes(graph, params, max_m):
-    """(results, state counts) of every condition and profile mode."""
+    """(results, bipartition and profile state counts, partition-scan state
+    counts) of every condition and profile mode. The partition scan runs at
+    the bipartition optimum, and at the edge count on small graphs."""
     results, states = [], []
-    for cond in condition_grid(graph, params):
-        try:
-            r = brute_conditional(graph, cond, params=params)
-        except InfeasibleError:
-            results.append((cond.describe(), "infeasible"))
-            continue
-        holds = bipartite_property_check(graph, cond, params=params)
-        results.append((cond.describe(), r.optimum, r.witness, r.atom_size, r.report, holds))
-        states.append(r.subsets_visited)
+    with recorded_partition_scans() as scans:
+        for cond in condition_grid(graph, params):
+            if graph.vertex_count <= FULL_BUDGET_SCAN_VERTICES:
+                partition_minima(graph, cond, params, graph.edge_count)
+            try:
+                r = brute_conditional(graph, cond, params=params)
+            except InfeasibleError:
+                results.append((cond.describe(), "infeasible"))
+                continue
+            holds = bipartite_property_check(graph, cond, params=params)
+            results.append((cond.describe(), r.optimum, r.witness, r.atom_size, r.report, holds))
+            states.append(r.subsets_visited)
+    results += [outcome for outcome, _ in scans]
     for mode in ("any", "connected", "bilateral"):
         entries, visited = oracle._profile(graph, max_m, mode, oracle.DEFAULT_BUDGET)
         results.append((mode, entries))
         states.append(visited)
-    return results, states
+    return results, states, [visited for _, visited in scans]
 
 
 def three_levels(monkeypatch, run):
@@ -788,19 +855,26 @@ class TestRootZeroReduction:
     def test_only_the_work_changes(self, monkeypatch, make, params):
         graph = make()
         orbit = oracle._orbit_minima(graph)
-        (pruned, pruned_states), (root_zero, root_zero_states), (full, full_states) = (
-            three_levels(monkeypatch, lambda: oracle_outcomes(graph, params, graph.vertex_count // 2))
+        pruned, root_zero, full = three_levels(
+            monkeypatch, lambda: oracle_outcomes(graph, params, graph.vertex_count // 2)
         )
-        assert pruned == root_zero == full
-        root_pairs = list(zip(root_zero_states, full_states))
-        pruned_pairs = list(zip(pruned_states, root_zero_states))
+        assert pruned[0] == root_zero[0] == full[0]
+        root_pairs = list(zip(root_zero[1], full[1]))
+        pruned_pairs = list(zip(pruned[1], root_zero[1]))
+        # the partition scan always starts at vertex 0, so only H prunes it
+        assert root_zero[2] == full[2]
+        pruned_parts = list(zip(pruned[2], root_zero[2]))
+        assert pruned_parts
         if orbit is None:
             assert all(r == f for r, f in root_pairs) and all(p == r for p, r in pruned_pairs)
+            assert all(p == r for p, r in pruned_parts)
         elif {orbit[w] for w in graph.adjacency[0]} == {1}:
             # 1 is in N(0) and H moves it onto N(0): every engine visits strictly less
             assert all(r < f for r, f in root_pairs) and all(p < r for p, r in pruned_pairs)
+            assert all(p < r for p, r in pruned_parts)
         else:
             assert all(r < f for r, f in root_pairs) and all(p <= r for p, r in pruned_pairs)
+            assert all(p <= r for p, r in pruned_parts)
 
     @pytest.mark.parametrize("arity,dim,max_m", [(3, 3, 5), (5, 2, 6)])
     def test_profiles_unchanged(self, monkeypatch, arity, dim, max_m):
@@ -869,10 +943,10 @@ def reference_part_ok(graph, cond, params, block):
 
 
 def reference_partition_minima(graph, cond, params, cut_budget, partitions):
-    """(min_cut, part_counts, achiever_count) over the partitions into >= 2
-    qualifying parts with cut <= cut_budget."""
+    """(min_cut, part_counts) over the partitions into >= 2 qualifying parts
+    with cut <= cut_budget."""
     ok = {}
-    best, counts, hits = None, set(), 0
+    best, counts = None, set()
     for blocks, cut in partitions:
         if len(blocks) < 2 or cut > cut_budget:
             continue
@@ -882,16 +956,17 @@ def reference_partition_minima(graph, cond, params, cut_budget, partitions):
         if not all(ok[block] for block in blocks):
             continue
         if best is None or cut < best:
-            best, counts, hits = cut, {len(blocks)}, 1
+            best, counts = cut, {len(blocks)}
         elif cut == best:
             counts.add(len(blocks))
-            hits += 1
-    return best, counts, hits
+    return best, counts
 
 
 PARTITION_GRAPHS = [
     ("q3", partial(hamming_graph, HammingParams(2, 3)), HammingParams(2, 3)),
     ("k32", partial(hamming_graph, HammingParams(3, 2)), HammingParams(3, 2)),
+    # q3 and k32 are certified, so their first parts are pruned under H;
+    # relabelled, k32 is not, and its scan takes every task of root 0
     ("k32-relabelled", lambda: relabelled(hamming_graph(HammingParams(3, 2)), seed=1), None),
     ("bc3-seed13", partial(bc_network, 3, "seeded_random", seed=13), None),
     # three components: the least cuts (0) split in two or three parts, and
