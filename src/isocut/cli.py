@@ -247,8 +247,10 @@ def _verify_rows(scope: str, full: bool, budget: OracleBudget):
 
 
 def _run_verify(args) -> int:
-    # each thread is an oracle worker process, so more than the CPUs only
-    # asks the OS for processes, and a huge value would exhaust it
+    # --threads counts the oracle's processes, this one included, and the
+    # oracle splits its tasks only when there are workers to share them;
+    # more than the CPUs only asks the OS for processes, and a huge value
+    # would exhaust it
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
         raise DomainError(f"--threads must be in [1, {cpus}], got {args.threads}")
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="multi-minute grids")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="oracle worker processes, at most the CPU count (default %(default)s)",
+        help="oracle processes, this one included, at most the CPU count "
+        "(default %(default)s)",
     )
     p.add_argument("--max-subsets", type=int, default=None)
     p.add_argument(

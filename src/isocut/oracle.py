@@ -14,8 +14,9 @@ or idea with the formula side. Working notes on the engines:
   slow on arbitrary sets: the 536,155 sets of K_5^2 up to size 8 that
   contain vertex 0 take about 0.2 s scanned and 0.4 s walked from a free
   start with per-size minima (Python 3.11, one core). It takes the free
-  walker's tasks and returns the profile visitor's per-size entries, so
-  one reduction builds every profile.
+  walker's tasks, whose paths are vertex sequences there, and returns the
+  profile visitor's per-size entries, so one reduction builds every
+  profile.
 * One walker, rooted growth in the style of ESU (Wernicke 2006), does every
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
@@ -25,8 +26,12 @@ or idea with the formula side. Working notes on the engines:
   both sides must be), and the cut visitor keeps the best qualifying
   bipartition for conditional connectivity and gates its expensive checks
   (complement connectivity, side predicates) behind the current best cut.
-  Task (root, 0) visits {root} itself, and a root with no larger
-  neighbour gets a task of its own, so no caller handles singletons.
+  A task is an extension path (root, i1, i2, ...): it takes the subtree
+  of the set reached by growing {root} by its i1-th extension, that set by
+  its i2-th and so on, and visits each set on the way alone when its
+  indices past that set are all 0. So task (root, 0) visits {root}
+  itself, a root with no larger neighbour gets a task of its own, and no
+  caller handles singletons.
 * Witnesses stay bitmasks until they leave the oracle, and one rule,
   ``_lex_less``, orders them as sorted vertex tuples: with d the least
   vertex in a ^ b, the set holding d is the lesser one, unless the other
@@ -65,22 +70,34 @@ or idea with the formula side. Working notes on the engines:
   cut and the part counts that reach it. The state counts drop; values,
   witnesses, atom sizes and two-part verdicts do not change. The
   certificate reads only the adjacency, never the label, and is the sole
-  gate: every other graph gets the full enumeration.
-* Both enumerators split their work into tasks that go through one runner,
-  in-process or over a process pool. Results come back in task order and
-  are combined with a deterministic min-reduction, so parallel results
-  match serial ones bit for bit. Worker state and side predicates are
+  gate: every other graph gets the full enumeration. The pruned scans are
+  a few lopsided tasks, often the one (0, 0), so a parallel call splits
+  them further (see the runner).
+* Both enumerators split their work into tasks that go through one runner.
+  ``OracleBudget.parallel_chunks`` = W counts the processes, the caller
+  included. A serial call (W = 1) runs its tasks in-process as they are.
+  With W > 1 there are workers to share the work, so the tasks are first
+  refined one extension level at a time, each path into one path per
+  extension of its end, until there are at least 8W of them or a level
+  splits none; refined in-process they would only cost more, each task's
+  visitor starting with no best cut. The caller then runs the interleaved
+  share items[0::W] itself while each of W - 1 workers runs items[k::W],
+  sent in one message. Results are put back in task order and combined
+  with a deterministic min-reduction, so parallel results, witnesses and
+  state counts match serial ones bit for bit. Every task takes its call's
+  state as an argument, so threads mixing serial and parallel calls share
+  nothing but the workers. Task functions and side predicates are
   module-level and picklable, so workers run under every start method
   (fork, spawn, forkserver).
 * The runner keeps its worker processes for the next parallel call with
   the same start method and worker count: starting them costs more than a
-  small enumeration. Each task carries its call's state and token, and a
-  worker reloads the state only when the token changes. A call that raises
-  terminates the workers, since chunks of it may still be running, and an
-  exit hook terminates whatever workers are left.
+  small enumeration. A call that raises terminates the workers, since
+  shares of it may still be running, and an exit hook terminates whatever
+  workers are left.
 * ``OracleBudget.max_subsets`` caps the total state count of one
-  enumeration: the runner sums the states of the tasks as their results
-  arrive, and every task stops once it alone would exceed what is left.
+  enumeration: each task stops once it would take its share past the cap,
+  and the runner sums the shares' states as they finish, so the error is
+  raised iff the total exceeds the cap, serial or parallel.
 """
 
 from __future__ import annotations
@@ -92,7 +109,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, count, product
+from itertools import chain, combinations, product
 from multiprocessing import get_context
 
 from .closedform import ConditionKind
@@ -127,7 +144,9 @@ class OracleBudget:
     max_subsets caps the total number of states one enumeration visits;
     SubsetBudgetError is raised iff that total exceeds it, serial or
     parallel. max_vertices bounds |V| of any graph handed to the oracle.
-    parallel_chunks is the process count (1 = in-process serial).
+    parallel_chunks is the process count, the caller included: 1 runs
+    in-process; W > 1 keeps W - 1 worker processes and splits the tasks
+    into shares for the caller and each worker.
     """
 
     max_subsets: int = 200_000_000
@@ -325,11 +344,12 @@ def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
 
 
 def _tasks(graph: Graph, free: bool, rooted: bool = False) -> list[tuple[int, int]]:
-    """The (root, ext_index) tasks whose sets include the lexicographically
-    least optimal side of any automorphism-invariant problem over connected
-    sets, or over arbitrary sets when free: every root's on an uncertified
-    graph (root 0's when rooted), and on a certified one root 0's, pruned
-    under H as the module notes say. Were 0's least neighbour u > 1, a
+    """The tasks, extension paths (root, i1) of one step, whose sets
+    include the lexicographically least optimal side of any
+    automorphism-invariant problem over connected sets, or over arbitrary
+    sets when free: every root's on an uncertified graph (root 0's when
+    rooted), and on a certified one root 0's, pruned under H as the module
+    notes say. Were 0's least neighbour u > 1, a
     connected side could hold 0 and some x < u outside N(0) and be less
     than every side holding {0, u}, so the lone task (0, 0) needs u = 1.
     """
@@ -354,40 +374,41 @@ def _tasks(graph: Graph, free: bool, rooted: bool = False) -> list[tuple[int, in
 
 # --- task runner --------------------------------------------------------------
 #
-# A task is a module-level function task(item, cap) -> (result, visited) that
-# raises SubsetBudgetError once it alone visits more than cap states. It reads
-# its call's state from the module global _W, which _apply reloads whenever
-# the call token changes.
+# A task is a module-level function task(state, item, cap) -> (result, visited)
+# that raises SubsetBudgetError once it alone visits more than cap states; it
+# reads its call's state only from the argument, so concurrent calls share
+# nothing but the workers.
 #
 # Each worker process has a pipe of its own and shares no lock with the
 # others, so terminating the workers mid-call is safe. multiprocessing.Pool
 # is not used: its terminate can hang when it kills a worker that holds the
 # lock of the shared result queue.
 
-_W: dict = {}
-_TOKENS = count()
 _POOL: dict = {}  # at most one entry, (start method, workers) -> [(process, pipe)]
 _POOL_LOCK = threading.Lock()  # held by the one parallel call using _POOL
 
 
-def _apply(args):
-    token, state, task, item, cap = args
-    if _W.get("token") != token:
-        _W.clear()
-        _W.update(state, token=token)
-    return task(item, cap)
+def _run_share(task, state: dict, items: list, cap: int) -> list:
+    """(result, states) of task over items in turn, each task capped at
+    what the share has left of cap."""
+    outcomes = []
+    for item in items:
+        result, states = task(state, item, cap)
+        cap -= states
+        outcomes.append((result, states))
+    return outcomes
 
 
 def _serve(pipe) -> None:
-    """Worker loop: run each chunk of task arguments that arrives and send
+    """Worker loop: run the share in each message that arrives and send
     back (True, outcomes) or (False, the exception raised)."""
     while True:
         try:
-            chunk = pipe.recv()
+            share = pipe.recv()
         except EOFError:
             return
         try:
-            reply = (True, [_apply(args) for args in chunk])
+            reply = (True, _run_share(*share))
         except Exception as exc:  # raised again in the parent
             reply = (False, exc)
         pipe.send(reply)
@@ -420,92 +441,63 @@ def _close_pools() -> None:
             pipe.close()
 
 
-def _run_chunks(pipes: list, chunks: list):
-    """Yield (index, outcomes) for each chunk, in the order workers finish."""
-    # imported here, like the rest of multiprocessing's machinery, to keep
-    # it out of the package's import time
-    from multiprocessing.connection import wait
-
-    todo = iter(enumerate(chunks))
-    idle = list(pipes)
-    busy: dict = {}
-    while True:
-        for pipe, (index, chunk) in zip(idle, todo):
-            pipe.send(chunk)
-            busy[pipe] = index
-        idle = []
-        if not busy:
-            return
-        for pipe in wait(list(busy)):
-            ok, value = pipe.recv()
-            if not ok:
-                raise value
-            idle.append(pipe)
-            yield busy.pop(pipe), value
+def _reply(pipe) -> list:
+    ok, value = pipe.recv()
+    if not ok:
+        raise value
+    return value
 
 
 def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
     """Results of task over items, in order, and their total states.
 
-    Raises SubsetBudgetError as soon as the running state total exceeds
-    budget.max_subsets. A serial task is capped at what is left of the
-    budget, a parallel one at the whole budget, so the error is raised iff
-    the total exceeds the cap in both modes.
+    budget.parallel_chunks counts the processes, the caller included: with
+    W of them, share k is the interleaved items[k::W]; the caller runs
+    share 0 while each of W - 1 kept workers runs one other share, sent in
+    one message. Each task is capped at what its share has left of
+    budget.max_subsets, and the shares' totals are summed as they finish,
+    so SubsetBudgetError is raised iff the total exceeds the cap, serial or
+    parallel.
     """
     cap = budget.max_subsets
+    width = budget.parallel_chunks
+    shares = [items[k::width] for k in range(max(1, min(width, len(items))))]
+    parallel = len(shares) > 1
     visited = 0
-    token = next(_TOKENS)
-    workers = budget.parallel_chunks if items else 1
-    done = {}
-    with _POOL_LOCK if workers > 1 else nullcontext():
+    parts = []
+    with _POOL_LOCK if parallel else nullcontext():
         try:
-            if workers == 1:
-                # the generator reads `visited` lazily, after the previous result
-                outcomes = (
-                    (index, [_apply((token, state, task, item, cap - visited))])
-                    for index, item in enumerate(items)
-                )
-            else:
-                # about eight chunks per worker: each result costs a round
-                # trip, and the heavy tasks (small roots) come first
-                size = max(1, len(items) // (8 * workers))
-                args = [(token, state, task, item, cap) for item in items]
-                chunks = [args[k:k + size] for k in range(0, len(args), size)]
-                outcomes = _run_chunks(_pool(workers), chunks)
-            for index, chunk in outcomes:
-                visited += sum(states for _, states in chunk)
+            pipes = _pool(width - 1)[:len(shares) - 1] if parallel else []
+            for pipe, share in zip(pipes, shares[1:]):
+                pipe.send((task, state, share, cap))
+            # the caller runs its share before it reads the workers' replies
+            for part in chain([_run_share(task, state, shares[0], cap)], map(_reply, pipes)):
+                visited += sum(states for _, states in part)
                 if visited > cap:
                     raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
-                done[index] = chunk
+                parts.append(part)
         except BaseException:
-            if workers > 1:
-                _close_pools()  # chunks of this call may still be running
+            if parallel:
+                _close_pools()  # shares of this call may still be running
             raise
-    return [result for index in sorted(done) for result, _ in done[index]], visited
+    return [parts[i % width][i // width][0] for i in range(len(items))], visited
 
 
 # --- engine: fixed-size scan, no connectivity --------------------------------
 
-def _beta_task(item, cap):
+def _beta_task(state, item, cap):
     """The least (cut, mask, size) entry of each size 1..max_m, None where
-    nothing was scanned, over the sets whose least vertex is root and whose
-    second is the ext_index-th vertex above root; task (root, 0) also takes
-    {root}.
+    nothing was scanned, over the sets of task `item` (see _path_nodes).
 
     The caller checks the whole scan against the budget up front, so cap is
     never reached here.
     """
-    root, ext_index = item
-    masks = _W["masks"]
-    degrees = _W["degrees"]
-    max_m = _W["max_m"]
+    masks = state["masks"]
+    degrees = state["degrees"]
+    max_m = state["max_m"]
     n = len(masks)
-    v1 = root + 1 + ext_index
     best_cut = [None] * (max_m + 1)
     best_mask = [None] * (max_m + 1)
-    if ext_index == 0:
-        best_cut[1] = degrees[root]
-        best_mask[1] = 1 << root
 
     def rec(start: int, mask: int, size: int, cut: int) -> None:
         nsize = size + 1
@@ -521,26 +513,30 @@ def _beta_task(item, cap):
             if grow:
                 rec(v + 1, mask | bit, nsize, ncut)
 
-    if v1 < n and max_m > 1:
-        start_mask = (1 << root) | (1 << v1)
-        start_cut = degrees[root] + degrees[v1] - 2 * ((masks[root] >> v1) & 1)
-        best_cut[2] = start_cut
-        best_mask[2] = start_mask
-        if max_m > 2:
-            rec(v1 + 1, start_mask, 2, start_cut)
+    # the path's sets come first, one per size, and depth-first order is
+    # lexicographic order, so the first optimum kept is the least
+    for (mask, _, _, size, cut, _), whole in _path_nodes(state, item):
+        best_cut[size] = cut
+        best_mask[size] = mask
+        if whole and size < max_m:
+            rec(mask.bit_length(), mask, size, cut)
     entries = [
         None if cut is None else (cut, mask, size)
         for size, (cut, mask) in enumerate(zip(best_cut, best_mask))
     ]
-    return entries, _scan_states(n, item, max_m)
+    return entries, _scan_states(state, item)
 
 
-def _scan_states(n: int, item: tuple[int, int], max_m: int) -> int:
-    """The sets of size 1..max_m that task `item` of the fixed-size scan takes."""
-    root, ext_index = item
-    above = n - 2 - root - ext_index  # vertices above the second one
-    pairs = sum(math.comb(above, k) for k in range(max_m - 1)) if above >= 0 else 0
-    return (ext_index == 0) + pairs
+def _scan_states(state: dict, item: tuple[int, ...]) -> int:
+    """The sets of size 1..max_m that task `item` of the fixed-size scan
+    takes: the path's sets visited alone, and every set that extends the
+    path's end by vertices above its last one."""
+    n = len(state["masks"])
+    return sum(
+        sum(math.comb(n - mask.bit_length(), k) for k in range(state["max_m"] - size + 1))
+        if whole else 1
+        for (mask, _, _, size, _, _), whole in _path_nodes(state, item)
+    )
 
 
 # --- engine: rooted growth ----------------------------------------------------
@@ -592,54 +588,102 @@ def _root_start(rows, root: int, pool: int, free: bool) -> tuple[int, int]:
     return ext, low_mask | ext
 
 
-def _run_engine(graph: Graph, task, max_m: int, items: list, budget: OracleBudget, **fields):
-    """The results of task over the (root, ext_index) items, in order, and
-    the states visited, on sets of at most max_m vertices."""
-    state = dict(
+def _path_nodes(state: dict, item: tuple[int, ...]) -> list:
+    """The states along the extension path item = (root, i1, i2, ...) that
+    task `item` visits, each with whether its whole subtree is taken.
+
+    A task takes the subtree of the path's end: {root}, its i1-th extension,
+    that set's i2-th extension and so on, as the walker grows them. A set
+    on the way is visited alone, by the one task whose indices past it are
+    all 0, so the tasks (root, 0) .. (root, c - 1) split the subtree of
+    {root} exactly. A path stops early where an index has no extension or
+    the set would pass max_m. Each state is (mask, ext, seen, size, cut,
+    internal).
+    """
+    masks = state["masks"]
+    degrees = state["degrees"]
+    root = item[0]
+    ext, seen = _root_start(masks, root, state["full"], state["free"])
+    node = (1 << root, ext, seen, 1, degrees[root], 0)
+    path = [node]
+    for index in item[1:]:
+        mask, ext, seen, size, cut, internal = node
+        for _ in range(index):
+            ext &= ext - 1
+        if not ext or size == state["max_m"]:
+            break
+        low = ext & -ext
+        v = low.bit_length() - 1
+        common = (masks[v] & mask).bit_count()
+        fresh = masks[v] & ~seen
+        node = (
+            mask | low,
+            (ext ^ low) | fresh,
+            seen | fresh,
+            size + 1,
+            cut + degrees[v] - 2 * common,
+            internal + common,
+        )
+        path.append(node)
+    end = len(item) - 1 if len(path) == len(item) else None
+    return [
+        (node, depth == end)
+        for depth, node in enumerate(path)
+        if depth == end or not any(item[depth + 1:])
+    ]
+
+
+def _refine(state: dict, items: list, target: int) -> list:
+    """The tasks split one extension level at a time, each path into one
+    path per extension of its end, until there are at least target tasks
+    or a level splits none; they take the same sets as items."""
+    while len(items) < target:
+        finer = []
+        for item in items:
+            ends = [node for node, whole in _path_nodes(state, item) if whole]
+            width = ends[0][1].bit_count() if ends and ends[0][3] < state["max_m"] else 0
+            finer += [(*item, j) for j in range(width)] or [item]
+        if len(finer) == len(items):
+            break
+        items = finer
+    return items
+
+
+def _engine_state(graph: Graph, max_m: int, **fields) -> dict:
+    return dict(
         fields,
         masks=graph.neighbor_masks,
         degrees=tuple(graph.degree(v) for v in range(graph.vertex_count)),
         max_m=max_m,
         full=(1 << graph.vertex_count) - 1,
     )
+
+
+def _run_engine(graph: Graph, task, max_m: int, items: list, budget: OracleBudget, **fields):
+    """The results of task over the items, in order, and the states
+    visited, on sets of at most max_m vertices. With more than one process
+    the items are first refined to at least eight tasks per process, as far
+    as their paths split: the pruned scans are a few lopsided tasks, often
+    one."""
+    state = _engine_state(graph, max_m, **fields)
+    if budget.parallel_chunks > 1:
+        items = _refine(state, items, 8 * budget.parallel_chunks)
     return _run_tasks(task, state, items, budget)
 
 
-def _grow_task(item, cap):
-    """Grow the sets rooted at root whose first extension is fixed.
-
-    Task (root, 0) also visits {root} itself. Covers every set S with
-    min(S) = root and |S| <= max_m (connected along the state's masks, or
-    arbitrary when state['free'] is set) whose extension choice at the top
-    level is the `ext_index`-th extension of root, and passes each to the
-    visitor built by the state's visitor factory. Returns (the visitor's
-    partial result, visited).
+def _grow_task(state, item, cap):
+    """Grow the sets of task `item` (see _path_nodes): every set S with
+    min(S) = root and |S| <= max_m, connected along the state's masks or
+    arbitrary when state['free'] is set, that the path's end leads to, and
+    the path's sets this task visits alone. Passes each to the visitor
+    built by the state's visitor factory and returns (the visitor's partial
+    result, visited).
     """
-    root, ext_index = item
-    masks = _W["masks"]
-    degrees = _W["degrees"]
-    max_m = _W["max_m"]
     tally = [cap]
-    visit, finish = _W["visitor"](_W, tally)
-    grow = _walker(masks, degrees, max_m, visit, tally)
-    remaining, seen = _root_start(masks, root, _W["full"], _W["free"])
-    if ext_index == 0:
-        grow(1 << root, 0, seen, 1, degrees[root], 0)  # an empty ext: {root} alone
-    for _ in range(ext_index + 1):
-        chosen = remaining & -remaining
-        remaining ^= chosen
-    if chosen and max_m > 1:
-        v = chosen.bit_length() - 1
-        common = (masks[v] >> root) & 1
-        fresh = masks[v] & ~seen
-        grow(
-            (1 << root) | chosen,
-            remaining | fresh,
-            seen | fresh,
-            2,
-            degrees[root] + degrees[v] - 2 * common,
-            common,
-        )
+    visit, finish = state["visitor"](state, tally)
+    grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, tally)
+    for (mask, ext, *rest), whole in _path_nodes(state, item):
+        grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
     return finish(), cap - tally[0]
 
 
@@ -689,7 +733,8 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     free = mode == "any"
     tasks = _tasks(graph, free)
     if free:
-        total = sum(_scan_states(graph.vertex_count, item, max_m) for item in tasks)
+        state = _engine_state(graph, max_m, free=True)
+        total = sum(_scan_states(state, item) for item in tasks)
         if total > budget.max_subsets:
             raise SubsetBudgetError(
                 f"{total} subsets of size <= {max_m} exceed max_subsets="

@@ -391,6 +391,19 @@ class TestBudgets:
         with pytest.raises(SubsetBudgetError):
             connected_bc4(5000, chunks)
 
+    def test_share_cap_is_cumulative(self):
+        # each of the 33 tasks fits under 5000 states, the share of all of
+        # them (15910) does not, so the share stops at the task that passes
+        graph = bc_network(4, "seeded_random", seed=7)
+        state = oracle._engine_state(
+            graph, 8, free=False, visitor=oracle._profile_visitor, bilateral=False
+        )
+        items = oracle._tasks(graph, False)
+        outcomes = oracle._run_share(oracle._grow_task, state, items, 15910)
+        assert sum(states for _, states in outcomes) == 15910
+        with pytest.raises(SubsetBudgetError):
+            oracle._run_share(oracle._grow_task, state, items, 5000)
+
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count(self, chunks):
         # {0} and the connected sets of size <= 8 that hold {0, 1}: the one
@@ -455,11 +468,13 @@ def bc4_connected_result(max_subsets, chunks):
 
 class TestPoolLifecycle:
     def test_reused_across_calls(self, start_method):
-        connected_q4(10**6, 2)
+        # the caller counts as one of the parallel_chunks processes
+        chunks = 2
+        connected_q4(10**6, chunks)
         first = {p.pid for p in multiprocessing.active_children()}
-        connected_q4(10**6, 2)
+        connected_q4(10**6, chunks)
         second = {p.pid for p in multiprocessing.active_children()}
-        assert len(first) == 2 and first == second
+        assert len(first) == chunks - 1 and first == second
 
     def test_fresh_after_budget_error(self, start_method):
         # the total passes the cap before all 33 tasks have reported, so
@@ -509,6 +524,45 @@ class TestPoolLifecycle:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert results == [serial] * 20
+
+    def test_threads_mix_serial_and_parallel_calls(self):
+        # the caller runs a share of each parallel call itself, so a call
+        # must read its state from its own arguments, never from a global
+        # that a concurrent call may have replaced
+        cells = [
+            (hamming_graph(HammingParams(2, 4)), 8),
+            (hamming_graph(HammingParams(4, 2)), 8),
+            (hamming_graph(HammingParams(3, 2)), 4),
+            (bc_network(4, "seeded_random", seed=7), 8),
+        ]
+        serial = [brute_boundary_profile(graph, m, "bilateral") for graph, m in cells]
+        got, errors = [], []
+
+        def run(k):
+            # each thread starts at another cell, so concurrent calls differ
+            try:
+                for step in range(k, k + 10 * len(cells)):
+                    index = step % len(cells)
+                    graph, m = cells[index]
+                    budget = OracleBudget(parallel_chunks=1 + step // len(cells) % 2)
+                    got.append((index, brute_boundary_profile(graph, m, "bilateral", budget)))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(got) == 8 * 10 * len(cells)
+        assert all(profile == serial[index] for index, profile in got)
 
     def test_exit_does_not_hang(self, start_method):
         code = (
@@ -998,3 +1052,109 @@ class TestPartitionScanAgainstReference:
                 want = reference_partition_minima(graph, cond, params, cut_budget, partitions)
                 got = partition_minima(graph, cond, params, cut_budget)
                 assert got == want, (cond.describe(), cut_budget)
+
+
+# --- tasks split along extension paths for a parallel call --------------------
+
+SPLIT_GRAPHS = [
+    ("k52", partial(hamming_graph, HammingParams(5, 2)), HammingParams(5, 2), 8),
+    ("k33", partial(hamming_graph, HammingParams(3, 3)), HammingParams(3, 3), 6),
+    ("k24", partial(hamming_graph, HammingParams(2, 4)), HammingParams(2, 4), 8),
+    ("k42", partial(hamming_graph, HammingParams(4, 2)), HammingParams(4, 2), 8),
+    ("bc4-seed7", partial(bc_network, 4, "seeded_random", seed=7), None, 8),
+]
+
+# the target of a call with two processes
+SPLIT_TARGET = 16
+
+
+def refined_run(run, target=None):
+    """run()'s outcome and each of its engine calls' (task, state, items,
+    states visited), with the items refined to at least target first when
+    a target is given."""
+    calls = []
+    run_tasks = oracle._run_tasks
+
+    def refined(task, state, items, budget):
+        if target is not None:
+            items = oracle._refine(state, items, target)
+        results, visited = run_tasks(task, state, items, budget)
+        calls.append((task, state, items, visited))
+        return results, visited
+
+    with mock.patch.object(oracle, "_run_tasks", refined):
+        return run(), calls
+
+
+def split_runs(graph, params, max_m):
+    """The fixed-size scan, connected growth, and the free and connected
+    partition scans. The cut visitor's scan up to N/2 and the partition
+    scans, which walk first parts of every size, run only on graphs of 16
+    vertices: on K_5^2 and K_3^3 they take seconds."""
+    runs = {
+        mode: partial(oracle._profile, graph, max_m, mode, oracle.DEFAULT_BUDGET)
+        for mode in ("any", "connected", "bilateral")
+    }
+    if graph.vertex_count <= 16:
+        runs["extra(2)"] = partial(brute_conditional, graph, ConditionKind.extra(2), params)
+        for cond in (ConditionKind.isoperimetric(2), ConditionKind.extra(2)):
+            optimum = brute_conditional(graph, cond, params=params).optimum
+            runs[f"partition {cond.describe()}"] = partial(
+                partition_minima, graph, cond, params, optimum
+            )
+    return runs
+
+
+def without_time(outcome):
+    if isinstance(outcome, oracle.FragmentResult):
+        return outcome.optimum, outcome.witness, outcome.atom_size, outcome.report
+    return outcome
+
+
+class TestTaskSplit:
+    @pytest.mark.parametrize(
+        "make,params,max_m", [g[1:] for g in SPLIT_GRAPHS], ids=[g[0] for g in SPLIT_GRAPHS]
+    )
+    def test_refined_tasks_take_the_same_sets(self, make, params, max_m):
+        graph = make()
+        for name, run in split_runs(graph, params, max_m).items():
+            whole, ((task, state, items, visited),) = refined_run(run)
+            split, ((_, _, finer, split_visited),) = refined_run(run, SPLIT_TARGET)
+            assert without_time(split) == without_time(whole), name
+            assert split_visited == visited, name
+            # short of the target only where a further level splits nothing
+            assert len(finer) >= SPLIT_TARGET or oracle._refine(state, finer, 10**6) == finer
+            if task is oracle._beta_task:
+                assert sum(oracle._scan_states(state, item) for item in finer) == visited
+                assert sum(oracle._scan_states(state, item) for item in items) == visited
+
+    @pytest.mark.parametrize("mode", ["any", "connected"])
+    def test_interleaved_shares_balance_k52(self, mode):
+        graph = hamming_graph(HammingParams(5, 2))
+        _, ((task, state, items, visited),) = refined_run(
+            partial(oracle._profile, graph, 8, mode, oracle.DEFAULT_BUDGET), SPLIT_TARGET
+        )
+        assert len(items) >= SPLIT_TARGET
+        states = [task(state, item, visited)[1] for item in items]
+        assert sum(states) == visited
+        assert max(sum(states[0::2]), sum(states[1::2])) <= 0.6 * visited
+
+    def test_only_parallel_calls_split(self):
+        graph = hamming_graph(HammingParams(5, 2))
+        items = []
+        for chunks in (1, 2):
+            budget = OracleBudget(parallel_chunks=chunks)
+            _, ((_, _, tasks, _),) = refined_run(
+                partial(oracle._profile, graph, 8, "connected", budget)
+            )
+            items.append(tasks)
+        assert items[0] == [(0, 0)]
+        assert len(items[1]) >= SPLIT_TARGET
+
+    def test_paths_past_the_size_cap_stay_whole(self):
+        # with max_m = 1 only {0} is visited, by task (0, 0); no path grows
+        graph = hamming_graph(HammingParams(2, 3))
+        state = oracle._engine_state(graph, 1, free=True)
+        items = oracle._tasks(graph, True)
+        assert oracle._refine(state, items, SPLIT_TARGET) == items
+        assert [oracle._scan_states(state, item) for item in items] == [1, 0, 0]
