@@ -83,26 +83,33 @@ def max_degree_sum(m: int, params: HammingParams) -> int:
 
     The first bracket is degree sum inside and between the a_i sub-layers of
     block i; the cross term counts the perfect matchings every later (smaller)
-    block sends into each earlier one.
+    block sends into each earlier one. It is taken in one pass over the
+    digits, least significant first, with a running power L^b: the cross
+    term is 2 * sum_i a_i * (m mod L^{b_i}), and m mod L^b is the value of
+    the digits already read.
     """
     if not 1 <= m <= params.vertex_count:
         raise DomainError(f"m must be in [1, {params.vertex_count}], got {m}")
     arity = params.arity
     total = 0
-    prefix_coeff = 0
-    for a, b in decompose(m, arity).terms:
-        power = arity**b
-        total += ((arity - 1) * a * b + (a - 1) * a) * power
-        total += 2 * prefix_coeff * a * power
-        prefix_coeff += a
+    low = 0  # m mod L^b
+    power = 1  # L^b
+    b = 0
+    while m:
+        m, a = divmod(m, arity)
+        if a:
+            total += ((arity - 1) * b + a - 1) * a * power + 2 * a * low
+            low += a * power
+        power *= arity
+        b += 1
     return total
 
 
 def min_edge_boundary(m: int, params: HammingParams) -> int:
     """Minimum edge boundary of an m-vertex set, 1 <= m <= floor(N/2).
 
-    Computed as degree*m - max_degree_sum(m): the single pass over the
-    decomposition inside max_degree_sum is the whole algorithm, each term
+    Computed as degree*m - max_degree_sum(m): the one pass over the digits
+    inside max_degree_sum is the whole algorithm, each term
     contributing a_i[(L-1)(n-b_i) - (a_i-1) - 2*(running coefficient sum)]
     L^{b_i} to the boundary once the degree sum is subtracted. Cost is one
     term per base-L digit of m.

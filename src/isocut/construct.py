@@ -7,6 +7,12 @@ a_i * L^{b_i} contributes a block of a_i parallel b_i-dimensional sub-layers
 both views, counts the prefix's edges from the descriptors alone, and
 evaluates cuts on materialized graphs.
 
+The families come from one pass over m's digits, and the census counts per
+pair of families in O(families^2 * n + layers). It relies on the family shape
+``SubLayerFamily`` documents (one shared head, distinct last digits, one
+dimension) and raises ``DomainError`` for a family that breaks it, as it does
+for overlapping layers.
+
 Connectivity of a cut's sides is settled by a certificate first and a flood
 only where the certificate fails. A side is connected when every member but
 an extreme one has a neighbour in the side that is nearer that extreme:
@@ -23,12 +29,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import getitem, gt, itemgetter, lt, sub
+from operator import getitem, gt, itemgetter, lt, ne, sub
 from typing import Iterable, NamedTuple
 
-from .closedform import decompose
 from .errors import DomainError
-from .graphs import Graph, HammingParams, _flood, encode, format_digits
+from .graphs import Graph, HammingParams, _flood, format_digits
 
 __all__ = [
     "SubLayer",
@@ -68,7 +73,15 @@ class SubLayer:
 @dataclass(frozen=True)
 class SubLayerFamily:
     """One decomposition block: ``len(layers)`` parallel sub-layers of
-    dimension ``free_dims`` (consecutive values in the last fixed digit)."""
+    dimension ``free_dims`` (consecutive values in the last fixed digit).
+
+    ``family_census`` relies on this shape and raises ``DomainError`` where a
+    family breaks it: every layer has ``free_dims`` free and
+    ``dim - free_dims`` fixed coordinates, all layers share every prefix
+    digit but the last (the family's head), and their last digits are
+    distinct. The whole graph (an empty prefix) is one layer with no last
+    digit.
+    """
 
     free_dims: int
     layers: tuple[SubLayer, ...]
@@ -77,39 +90,51 @@ class SubLayerFamily:
 def sublayer_families(m: int, params: HammingParams) -> tuple[SubLayerFamily, ...]:
     """Decompose optimal_set(m) into its sub-layer families.
 
-    Family i carries a_i layers of dimension b_i; the layers tile {0..m-1} in
-    order, so each descriptor's prefix is read straight off its first vertex.
+    One pass over m's base-L digits: the digit a > 0 at position b gives the
+    family of a layers of dimension b whose prefixes are m's higher digits
+    followed by j, for j < a. The layers tile {0..m-1} in order.
     """
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
     arity, dim = params.arity, params.dim
+    digits = [0] * dim  # most significant first
+    top = dim  # index of the leading nonzero digit
+    while m:
+        top -= 1
+        m, digits[top] = divmod(m, arity)
+    digits = tuple(digits)
     families = []
-    offset = 0
-    for a, b in decompose(m, arity).terms:
-        size = arity**b
-        layers = []
-        for j in range(a):
-            start = offset + j * size
-            layers.append(SubLayer(encode(start, params)[: dim - b], b))
-        families.append(SubLayerFamily(b, tuple(layers)))
-        offset += a * size
+    for fixed, a in enumerate(digits[top:], top + 1):
+        if a:
+            head, free_dims = digits[: fixed - 1], dim - fixed
+            layers = tuple(SubLayer(head + (j,), free_dims) for j in range(a))
+            families.append(SubLayerFamily(free_dims, layers))
     return tuple(families)
 
 
-def _matching_size(one: SubLayer, other: SubLayer, params: HammingParams) -> int:
-    """Edges between two disjoint sub-layers: a perfect matching onto the
-    smaller one when their prefixes differ in exactly one readable position,
-    nothing otherwise."""
-    if one.free_dims < other.free_dims:
-        one, other = other, one
-    short = len(one.prefix)
-    trimmed = other.prefix[:short]
-    differing = sum(1 for x, y in zip(one.prefix, trimmed) if x != y)
-    if differing == 0:
-        raise DomainError("sub-layers overlap; census is only defined for partitions")
-    if differing == 1:
-        return params.arity**other.free_dims
-    return 0
+_OVERLAP = "sub-layers overlap; census is only defined for partitions"
+
+
+def _family_block(
+    family: SubLayerFamily, params: HammingParams
+) -> tuple[tuple[int, ...] | None, frozenset, int]:
+    """(head, last digits, layer size) of a nonempty family of the shape
+    ``SubLayerFamily`` documents; the whole graph's head is None."""
+    free_dims, layers = family.free_dims, family.layers
+    fixed, head = params.dim - free_dims, layers[0].prefix[:-1]
+    shape = {(layer.free_dims, len(layer.prefix), layer.prefix[:-1]) for layer in layers}
+    if not 0 <= free_dims <= params.dim or shape != {(free_dims, fixed, head)}:
+        raise DomainError(
+            f"the layers of a family of {free_dims}-dimensional sub-layers of {params} "
+            f"must have {fixed} prefix digits and share all but the last"
+        )
+    if fixed:
+        digits = frozenset([layer.prefix[-1] for layer in layers])
+    else:
+        head, digits = None, frozenset([None])
+    if len(digits) < len(layers):
+        raise DomainError(_OVERLAP)
+    return head, digits, params.arity**free_dims
 
 
 def family_census(
@@ -119,30 +144,55 @@ def family_census(
 
     Three contributions: edges inside each layer (a b-dimensional layer is
     (arity-1)*b-regular on arity**b vertices), matchings between layers of the
-    same family, and matchings from each layer into every layer of earlier
-    (higher-dimensional) families. Cut size follows by subtracting the degree
-    sum.
+    same family, and matchings between layers of different families. Two
+    sub-layers are joined by a perfect matching onto the smaller one when
+    their prefixes, the longer trimmed to the shorter's length, differ in
+    exactly one position, and by nothing when they differ in more; equal
+    trimmed prefixes mean the layers overlap, which raises ``DomainError``.
+    Cut size follows by subtracting the degree sum.
+
+    Families must have the shape ``SubLayerFamily`` documents, else
+    ``DomainError``, so the census counts per pair of families rather than
+    per pair of layers. Within a family each pair of layers is one matching.
+    For two families with prefix lengths k1 <= k2, let d0 be the number of
+    positions where their heads differ, the longer trimmed to k1 - 1 digits.
+    For d0 > 1 nothing matches. Otherwise the second family's digit at
+    position k1 decides: a layer of the first family whose last digit equals
+    it differs from each second-family layer in d0 positions, every other
+    layer in d0 + 1 (for k1 == k2, the pairs of equal last digits play that
+    part). The cost is O(families^2 * n + layers).
     """
-    flat: list[tuple[int, SubLayer]] = []
-    within = 0
-    total_vertices = 0
-    for index, family in enumerate(families):
-        for layer in family.layers:
-            flat.append((index, layer))
-            size = params.arity**layer.free_dims
-            within += (params.arity - 1) * layer.free_dims * size // 2
-            total_vertices += size
-    same_family = 0
+    arity = params.arity
+    blocks = []
+    within = same_family = total_vertices = 0
+    for family in families:
+        if not family.layers:
+            continue
+        head, digits, size = _family_block(family, params)
+        count = len(digits)
+        within += count * ((arity - 1) * family.free_dims * size // 2)
+        same_family += count * (count - 1) // 2 * size
+        total_vertices += count * size
+        blocks.append((head, digits, size))
+    if len(blocks) > 1 and any(head is None for head, _, _ in blocks):
+        raise DomainError(_OVERLAP)  # the whole graph shares the census
+    blocks.sort(key=itemgetter(2), reverse=True)  # larger layers, shorter prefixes first
     cross_family = 0
-    for i in range(len(flat)):
-        fam_i, layer_i = flat[i]
-        for j in range(i + 1, len(flat)):
-            fam_j, layer_j = flat[j]
-            edges = _matching_size(layer_i, layer_j, params)
-            if fam_i == fam_j:
-                same_family += edges
+    for i, (head1, digits1, _) in enumerate(blocks):
+        for head2, digits2, size2 in blocks[i + 1 :]:
+            k = len(head1)
+            differing = sum(map(ne, head1, head2))
+            if differing > 1:
+                continue
+            if len(head2) == k:
+                matched = len(digits1 & digits2)
             else:
-                cross_family += edges
+                matched = len(digits2) if head2[k] in digits1 else 0
+            if not differing:
+                if matched:
+                    raise DomainError(_OVERLAP)
+                matched = len(digits1) * len(digits2)
+            cross_family += matched * size2
     internal = within + same_family + cross_family
     return {
         "within_layers": within,

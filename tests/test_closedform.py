@@ -134,6 +134,22 @@ class TestBoundaryFormula:
                 assert min_edge_boundary(m, p) == m * (arity - m)
                 assert max_degree_sum(m, p) == m * (m - 1)
 
+    @settings(max_examples=300)
+    @given(st.integers(min_value=2, max_value=1000), st.data())
+    def test_one_pass_matches_term_formula(self, arity, data):
+        # every dim up to the 64-bit vertex cap
+        top = 1
+        while (arity ** (top + 1)).bit_length() <= 64:
+            top += 1
+        p = HammingParams(arity, data.draw(st.integers(min_value=1, max_value=top)))
+        m = data.draw(st.integers(min_value=1, max_value=p.vertex_count))
+        terms = decompose(m, arity).terms
+        want = sum(((arity - 1) * a * b + (a - 1) * a) * arity**b for a, b in terms)
+        want += 2 * sum(
+            a * ak * arity**bk for i, (a, _) in enumerate(terms) for ak, bk in terms[i + 1 :]
+        )
+        assert max_degree_sum(m, p) == want
+
     def test_unit_step_increment(self):
         # appending vertex m to the prefix adds twice its digit sum in edges
         p = HammingParams(4, 5)

@@ -1,6 +1,7 @@
 """Optimal-set construction and materialized cut reports."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from isocut import construct
 from isocut.closedform import decompose, max_degree_sum, min_edge_boundary
 from isocut.construct import (
     CutReport,
+    SubLayer,
+    SubLayerFamily,
     evaluate_cut,
     family_census,
     optimal_set,
@@ -118,6 +121,76 @@ def frozenset_evaluate_cut(graph, vertex_set):
     )
 
 
+def reference_families(m, params):
+    """Decomposition blocks with each layer's prefix read off its first vertex."""
+    families = []
+    offset = 0
+    for a, b in decompose(m, params.arity).terms:
+        size = params.arity**b
+        prefixes = [encode(offset + j * size, params)[: params.dim - b] for j in range(a)]
+        families.append(SubLayerFamily(b, tuple(SubLayer(q, b) for q in prefixes)))
+        offset += a * size
+    return tuple(families)
+
+
+def reference_census(families, params):
+    """The census one pair of layers at a time; overlapping layers raise."""
+    flat = [(i, layer) for i, family in enumerate(families) for layer in family.layers]
+    within = sum(
+        (params.arity - 1) * layer.free_dims * params.arity**layer.free_dims // 2
+        for _, layer in flat
+    )
+    matchings = {True: 0, False: 0}  # keyed by "same family"
+    for (fam_i, one), (fam_j, other) in itertools.combinations(flat, 2):
+        if one.free_dims < other.free_dims:
+            one, other = other, one
+        differing = sum(x != y for x, y in zip(one.prefix, other.prefix[: len(one.prefix)]))
+        if differing == 0:
+            raise DomainError("sub-layers overlap")
+        if differing == 1:
+            matchings[fam_i == fam_j] += params.arity**other.free_dims
+    internal = within + matchings[True] + matchings[False]
+    vertices = sum(params.arity**layer.free_dims for _, layer in flat)
+    return {
+        "within_layers": within,
+        "same_family_matchings": matchings[True],
+        "cross_family_matchings": matchings[False],
+        "internal_edges": internal,
+        "cut_size": params.degree * vertices - 2 * internal,
+    }
+
+
+def census_outcome(census, families, params):
+    try:
+        return census(families, params)
+    except DomainError:
+        return DomainError
+
+
+def random_params(rng):
+    """Arity log-uniform over 2..1000, any dim up to the 64-bit vertex cap."""
+    arity = round(2 ** rng.uniform(1, math.log2(1000)))
+    top = 1
+    while (arity ** (top + 1)).bit_length() <= 64:
+        top += 1
+    return HammingParams(arity, rng.randint(1, top))
+
+
+def capped_size(rng, params, layers):
+    """A random m <= N/2 whose digits, most significant first, sum to at most
+    ``layers``: each digit is cut to what is left."""
+    m, budget = 0, layers
+    for d in encode(rng.randint(1, params.half_size), params):
+        d = min(d, budget)
+        budget -= d
+        m = m * params.arity + d
+    return m
+
+
+def family(head, digits, free_dims):
+    return SubLayerFamily(free_dims, tuple(SubLayer((*head, d), free_dims) for d in digits))
+
+
 class TestOptimalSet:
     def test_is_numeric_prefix(self):
         p = HammingParams(3, 3)
@@ -184,6 +257,118 @@ class TestSublayerFamilies:
             report = evaluate_cut(q4, optimal_set(m, p))
             assert census["internal_edges"] == report.internal_edges
             assert census["cut_size"] == report.cut_size
+
+
+class TestFamilyCensus:
+    def test_families_and_census_equal_references_on_small_graphs(self):
+        cells = 0
+        for arity in range(2, 7):
+            for dim in range(1, 7):
+                p = HammingParams(arity, dim)
+                if p.vertex_count > 5000:
+                    continue
+                for m in range(1, p.half_size + 1):
+                    fams = sublayer_families(m, p)
+                    assert fams == reference_families(m, p), (arity, dim, m)
+                    assert family_census(fams, p) == reference_census(fams, p), (arity, dim, m)
+                    cells += 1
+        assert cells == 6063
+
+    def test_equals_pairwise_reference_across_the_64_bit_range(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            p = random_params(rng)
+            m = capped_size(rng, p, 12)
+            fams = sublayer_families(m, p)
+            assert family_census(fams, p) == reference_census(fams, p), (p, m)
+
+    def test_random_families_match_reference_or_both_raise(self):
+        # families of the documented shape at random, overlapping ones included
+        rng = random.Random(16)
+        raised = 0
+        for _ in range(3000):
+            p = HammingParams(rng.randint(2, 4), rng.randint(1, 4))
+            fams = []
+            for _ in range(rng.randint(1, 4)):
+                free_dims = rng.randrange(p.dim)
+                head = [rng.randrange(p.arity) for _ in range(p.dim - free_dims - 1)]
+                digits = rng.sample(range(p.arity), rng.randint(1, p.arity))
+                fams.append(family(head, digits, free_dims))
+            want = census_outcome(reference_census, fams, p)
+            assert census_outcome(family_census, fams, p) == want, (p, fams)
+            raised += want is DomainError
+        assert 300 < raised < 2700  # both outcomes well represented
+
+    @pytest.mark.parametrize(
+        "fams",
+        [
+            pytest.param([family((0,), [1, 1], 1)], id="duplicate-in-family"),
+            pytest.param([family((0,), [1], 1), family((0,), [1], 1)], id="duplicate-across"),
+            pytest.param([family((), [0, 1], 2), family((1,), [2], 1)], id="layer-inside-layer"),
+            pytest.param([family((1, 2), [0], 0), family((1,), [2], 1)], id="shorter-after"),
+            pytest.param(
+                [SubLayerFamily(3, (SubLayer((), 3),)), family((2,), [0], 1)],
+                id="whole-graph-shared",
+            ),
+            pytest.param(
+                [SubLayerFamily(3, (SubLayer((), 3), SubLayer((), 3)))], id="whole-graph-twice"
+            ),
+        ],
+    )
+    def test_overlap_raises(self, fams):
+        p = HammingParams(3, 3)
+        with pytest.raises(DomainError, match="overlap"):
+            family_census(fams, p)
+        with pytest.raises(DomainError):
+            reference_census(fams, p)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            # disjoint layers, so the pairwise census accepted them
+            pytest.param(SubLayerFamily(1, (SubLayer((0, 1), 1), SubLayer((1, 2), 1))), id="head"),
+            pytest.param(SubLayerFamily(1, (SubLayer((0, 1), 1), SubLayer((1,), 2))), id="free-dims"),
+            pytest.param(
+                SubLayerFamily(1, (SubLayer((0, 1), 1), SubLayer((0, 2), 2))), id="free-dims-only"
+            ),
+            pytest.param(SubLayerFamily(2, (SubLayer((0, 1), 1),)), id="family-free-dims"),
+            pytest.param(SubLayerFamily(1, (SubLayer((0,), 1),)), id="prefix-length"),
+            pytest.param(SubLayerFamily(4, (SubLayer((), 4),)), id="too-many-free-dims"),
+        ],
+    )
+    def test_broken_family_shape_raises(self, fam):
+        p = HammingParams(3, 3)
+        reference_census([fam], p)
+        with pytest.raises(DomainError):
+            family_census([fam], p)
+
+    def test_lone_whole_graph_layer(self):
+        for p in (HammingParams(2, 1), HammingParams(3, 3), HammingParams(1000, 6)):
+            fams = [SubLayerFamily(p.dim, (SubLayer((), p.dim),))]
+            census = family_census(fams, p)
+            assert census == reference_census(fams, p)
+            assert census["internal_edges"] == p.edge_count and census["cut_size"] == 0
+
+    def test_empty_families_count_nothing(self):
+        p = HammingParams(3, 3)
+        fams = sublayer_families(11, p)
+        padded = [SubLayerFamily(1, ()), *fams, SubLayerFamily(3, ())]
+        assert family_census(padded, p) == family_census(fams, p)
+
+    def test_thousands_of_layers_match_the_closed_forms(self):
+        # two independent paths: per-family-pair census against the digit formula
+        p = HammingParams(1000, 6)
+        rng = random.Random(17)
+        sizes = []
+        while len(sizes) < 20:
+            m = rng.randint(1, p.half_size)
+            if sum(encode(m, p)) > 2000:
+                sizes.append(m)
+        sizes.append(int("499" + "999" * 5))  # the largest digit sum, 5494 layers
+        for m in sizes:
+            census = family_census(sublayer_families(m, p), p)
+            assert census["cut_size"] == min_edge_boundary(m, p)
+            assert census["internal_edges"] == max_degree_sum(m, p) // 2
 
 
 class TestEvaluateCut:
