@@ -6,6 +6,14 @@ for the summary printer; a row with status "note" documents something worth
 seeing without being a failure (the one known golden-data erratum, the
 analytic tail of the clique sweep).
 
+Row rule: every exhaustive row is built by `_listed_row` from an iterable of
+cells, each yielding a problem text or None when it holds. The row fails iff
+some cell has a problem; its actual value is then the first five problems,
+else its summary with `{count}` replaced by the number of cells.
+
+Tier flag: a suite whose grid grows under `isocut verify --full` takes
+`full: bool = False`, which means what that option means.
+
 Golden values here were frozen from independent enumeration before the
 formula code existed; the oracle suites re-derive them on every full run.
 """
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, count, pairwise, repeat, takewhile
 
 from .closedform import (
     ConditionKind,
@@ -74,10 +82,19 @@ def _row(name, expected, actual, detail="") -> CheckResult:
     return CheckResult(name, status, expected, actual, detail)
 
 
-def _listed_row(name, expected, bad, summary) -> CheckResult:
-    """A row that fails iff `bad` lists a problem; its actual value is the
-    first five problems, or `summary` when there are none."""
-    return CheckResult(name, "fail" if bad else "pass", expected, bad[:5] or summary)
+def _listed_row(name, expected, cells, summary) -> CheckResult:
+    """A row over `cells`, each a problem text or None when it holds.
+
+    It fails iff some cell has a problem; its actual value is the first five
+    problems, or `summary` formatted with the cell `count` when there are none.
+    """
+    n_cells = 0
+    bad = []
+    for n_cells, problem in enumerate(cells, start=1):
+        if problem is not None and len(bad) < 5:
+            bad.append(problem)
+    status = "fail" if bad else "pass"
+    return CheckResult(name, status, expected, bad or summary.format(count=n_cells))
 
 
 # --- golden boundary table -----------------------------------------------------
@@ -150,50 +167,46 @@ def _cyclic_expected(arity: int, dim: int) -> int | None:
     return 3 * ((arity - 1) * dim - 2)
 
 
+def _connectivity_cells(params: HammingParams):
+    arity, dim = params.arity, params.dim
+    for t in range(dim):
+        want = (arity - 1) * (dim - t) * arity**t
+        block = arity**t
+        conds = (
+            ConditionKind.extra(block),
+            ConditionKind.embedded(t),
+            ConditionKind.super_degree((arity - 1) * t),
+            ConditionKind.average_degree((arity - 1) * t),
+            ConditionKind.isoperimetric(block),
+        )
+        for cond in conds:
+            got = conditional_connectivity(cond, params)
+            yield None if got == want else f"{cond.describe()}@t={t}: {got}!={want}"
+    want = _cyclic_expected(arity, dim)
+    if want is None:
+        try:
+            got = conditional_connectivity(ConditionKind.cyclic(), params)
+        except DomainError:
+            yield None
+        else:
+            yield f"cyclic: expected DomainError, got {got}"
+    else:
+        got = conditional_connectivity(ConditionKind.cyclic(), params)
+        yield None if got == want else f"cyclic: {got}!={want}"
+
+
 def connectivity_grid_checks() -> list[CheckResult]:
     """Every structured condition on the (arity, dim) grid against the
     single closed expression (arity-1)(dim-t)·arity^t, plus the cyclic rule."""
-    rows = []
-    for params in _grid():
-        arity, dim = params.arity, params.dim
-        bad = []
-        checked = 0
-        for t in range(dim):
-            want = (arity - 1) * (dim - t) * arity**t
-            block = arity**t
-            conds = (
-                ConditionKind.extra(block),
-                ConditionKind.embedded(t),
-                ConditionKind.super_degree((arity - 1) * t),
-                ConditionKind.average_degree((arity - 1) * t),
-                ConditionKind.isoperimetric(block),
-            )
-            for cond in conds:
-                checked += 1
-                got = conditional_connectivity(cond, params)
-                if got != want:
-                    bad.append(f"{cond.describe()}@t={t}: {got}!={want}")
-        want_cyc = _cyclic_expected(arity, dim)
-        checked += 1
-        if want_cyc is None:
-            try:
-                got = conditional_connectivity(ConditionKind.cyclic(), params)
-                bad.append(f"cyclic: expected DomainError, got {got}")
-            except DomainError:
-                pass
-        else:
-            got = conditional_connectivity(ConditionKind.cyclic(), params)
-            if got != want_cyc:
-                bad.append(f"cyclic: {got}!={want_cyc}")
-        rows.append(
-            _listed_row(
-                f"connectivity-grid {params}",
-                "all conditions match closed forms",
-                bad,
-                f"{checked} conditions",
-            )
+    return [
+        _listed_row(
+            f"connectivity-grid {params}",
+            "all conditions match closed forms",
+            _connectivity_cells(params),
+            "{count} conditions",
         )
-    return rows
+        for params in _grid()
+    ]
 
 
 # --- witness construction sweep -------------------------------------------------
@@ -202,30 +215,31 @@ _SWEEP_VERTEX_LIMIT = 10_000  # every K_L^n with at most this many vertices
 _SWEEP_CLIQUE_LIMIT = 100  # K_L materialized up to here, analytic beyond
 
 
+def _sweep_problem(sweep, params: HammingParams) -> str | None:
+    m = sweep.size
+    want_cut = min_edge_boundary(m, params)
+    want_internal = max_degree_sum(m, params) // 2
+    if (
+        sweep.cut_size == want_cut
+        and sweep.internal_edges == want_internal
+        and sweep.side_connected
+        and sweep.complement_connected
+    ):
+        return None
+    return (
+        f"m={m}: cut {sweep.cut_size}/{want_cut} internal "
+        f"{sweep.internal_edges}/{want_internal} conn "
+        f"{sweep.side_connected},{sweep.complement_connected}"
+    )
+
+
 def _witness_sweep_row(params: HammingParams) -> CheckResult:
     graph = hamming_graph(params, max_vertices=_SWEEP_VERTEX_LIMIT)
     half = params.half_size
-    rows = prefix_cut_sweep(graph, half)
-    bad = []
-    for sweep in rows:
-        m = sweep.size
-        want_cut = min_edge_boundary(m, params)
-        want_internal = max_degree_sum(m, params) // 2
-        if (
-            sweep.cut_size != want_cut
-            or sweep.internal_edges != want_internal
-            or not sweep.side_connected
-            or not sweep.complement_connected
-        ):
-            bad.append(
-                f"m={m}: cut {sweep.cut_size}/{want_cut} internal "
-                f"{sweep.internal_edges}/{want_internal} conn "
-                f"{sweep.side_connected},{sweep.complement_connected}"
-            )
     return _listed_row(
         f"witness-sweep {params}",
         "cut=boundary, internal=degree-sum/2, both sides connected",
-        bad,
+        (_sweep_problem(sweep, params) for sweep in prefix_cut_sweep(graph, half)),
         f"{half} prefix sizes exact",
     )
 
@@ -241,52 +255,105 @@ def _clique_tail_row() -> CheckResult:
     the ends and middle of every range so a regression cannot hide behind
     the algebra.
     """
-    bad = []
-    spots = 0
-    for arity in range(_SWEEP_CLIQUE_LIMIT + 1, 10_000 + 1):
-        params = HammingParams(arity, 1)
-        half = arity // 2
-        for m in sorted({1, 2, half // 2, half - 1, half}):
-            if m < 1:
-                continue
-            spots += 1
-            if max_degree_sum(m, params) != m * (m - 1) or min_edge_boundary(
-                m, params
-            ) != m * (arity - m):
-                bad.append(f"K_{arity} m={m}")
-    if bad:
-        return CheckResult(
-            "clique-sweep-tail",
-            "fail",
-            "degree sum m(m-1), boundary m(L-m)",
-            bad[:5],
-        )
-    return CheckResult(
+
+    def cells():
+        for arity in range(_SWEEP_CLIQUE_LIMIT + 1, 10_000 + 1):
+            params = HammingParams(arity, 1)
+            half = arity // 2
+            for m in sorted({1, 2, half // 2, half - 1, half}):
+                yield None if (
+                    max_degree_sum(m, params) == m * (m - 1)
+                    and min_edge_boundary(m, params) == m * (arity - m)
+                ) else f"K_{arity} m={m}"
+
+    row = _listed_row(
         "clique-sweep-tail",
-        "note",
         "degree sum m(m-1), boundary m(L-m)",
-        f"{spots} spot checks pass; remaining sizes follow from the "
+        cells(),
+        "{count} spot checks pass; remaining sizes follow from the "
         "single-digit reduction (see docstring)",
     )
+    if row.ok:
+        row.status = "note"
+    return row
 
 
 def witness_sweep_checks() -> list[CheckResult]:
     """Prefix sets of every materializable K_L^n realize the closed forms."""
-    rows = []
-    for arity in range(2, _SWEEP_CLIQUE_LIMIT + 1):
-        rows.append(_witness_sweep_row(HammingParams(arity, 1)))
-    dim = 2
-    while 2**dim <= _SWEEP_VERTEX_LIMIT:
-        arity = 2
-        while arity**dim <= _SWEEP_VERTEX_LIMIT:
-            rows.append(_witness_sweep_row(HammingParams(arity, dim)))
-            arity += 1
-        dim += 1
+    rows = [
+        _witness_sweep_row(HammingParams(arity, 1))
+        for arity in range(2, _SWEEP_CLIQUE_LIMIT + 1)
+    ]
+    for dim in range(2, _SWEEP_VERTEX_LIMIT.bit_length()):
+        arities = takewhile(lambda a: a**dim <= _SWEEP_VERTEX_LIMIT, count(2))
+        rows += [_witness_sweep_row(HammingParams(a, dim)) for a in arities]
     rows.append(_clique_tail_row())
     return rows
 
 
 # --- boundary function monotonicity ---------------------------------------------
+
+def _split_cells():
+    for params in _grid(6, 6):
+        arity = params.arity
+        for total in range(2, arity ** (params.dim // 2) + 1):
+            terms = decompose(total, arity).terms
+            for j in range(1, len(terms)):
+                h1 = sum(a * arity**b for a, b in terms[:j])
+                h2 = total - h1
+                split = degree_sum_split(h1, h2, params)
+                holds = split == max_degree_sum(total, params)
+                yield None if holds else f"{params} {h1}+{h2}"
+
+
+def _unit_step_cells():
+    for params in _grid():
+        top = params.arity ** (params.dim // 2)
+        bounds = (min_edge_boundary(m, params) for m in range(1, top + 1))
+        for m, (prev, cur) in enumerate(pairwise(bounds), start=2):
+            yield None if cur >= prev else f"{params} m={m}"
+
+
+def _block_step_cells():
+    # g*arity^t -> (g+1)*arity^t, from the empty set's boundary 0
+    for params in _grid():
+        arity = params.arity
+        for t in range(params.dim - 1):
+            sizes = (g * arity**t for g in range(1, arity))
+            bounds = chain((0,), (min_edge_boundary(m, params) for m in sizes))
+            for g, (prev, cur) in enumerate(pairwise(bounds), start=1):
+                yield None if cur >= prev else f"{params} g={g} t={t}"
+
+
+def _power_step_cells():
+    for params in _grid():
+        bounds = (min_edge_boundary(params.arity**t, params) for t in range(params.dim))
+        for t, (prev, cur) in enumerate(pairwise(bounds)):
+            yield None if cur >= prev else f"{params} t={t}"
+
+
+def _half_blocks():
+    """(params, g, t, size) for every block of size g·arity^t <= floor(N/2)
+    on the grid."""
+    for params in _grid():
+        for t in range(params.dim):
+            for g in range(1, params.arity):
+                size = g * params.arity**t
+                if size <= params.half_size:
+                    yield params, g, t, size
+
+
+def _floor_cells():
+    for params, _, _, size in _half_blocks():
+        holds = _min_boundary_from(size, params) >= min_edge_boundary(size, params)
+        yield None if holds else f"{params} threshold={size}"
+
+
+def _block_formula_cells():
+    for params, g, t, size in _half_blocks():
+        holds = sublayer_block_boundary(g, t, params) == min_edge_boundary(size, params)
+        yield None if holds else f"{params} g={g} t={t}"
+
 
 def monotonicity_checks() -> list[CheckResult]:
     """The staircase structure of the boundary function, checked cellwise.
@@ -300,172 +367,44 @@ def monotonicity_checks() -> list[CheckResult]:
     sizes from it up to floor(N/2), which is exact however many sizes that
     is.
     """
-    rows = []
-
-    # split identity for degree sums
-    bad = []
-    count = 0
-    for params in _grid(6, 6):
-        arity = params.arity
-        for total in range(2, arity ** (params.dim // 2) + 1):
-            terms = decompose(total, arity).terms
-            for j in range(1, len(terms)):
-                h1 = sum(a * arity**b for a, b in terms[:j])
-                h2 = total - h1
-                count += 1
-                if degree_sum_split(h1, h2, params) != max_degree_sum(total, params):
-                    bad.append(f"{params} {h1}+{h2}")
-    rows.append(
-        _listed_row(
-            "degree-sum-split",
-            "split sum equals direct degree sum",
-            bad,
-            f"{count} splits",
+    return [
+        _listed_row(name, expected, cells(), summary)
+        for name, cells, summary, expected in (
+            ("degree-sum-split", _split_cells, "{count} splits",
+             "split sum equals direct degree sum"),
+            ("unit-step-monotone", _unit_step_cells, "{count} steps",
+             "boundary never decreases on the first interval"),
+            ("block-step-monotone", _block_step_cells, "{count} steps",
+             "boundary never decreases block to block"),
+            ("power-step-monotone", _power_step_cells, "{count} steps",
+             "boundary never decreases power to power"),
+            ("threshold-floor", _floor_cells, "{count} thresholds",
+             "no size at or above a block beats the block boundary"),
+            ("block-formula-consistency", _block_formula_cells, "{count} blocks",
+             "block expression equals general boundary"),
         )
-    )
-
-    # unit steps below the square-root threshold
-    bad = []
-    count = 0
-    for params in _grid():
-        top = params.arity ** (params.dim // 2)
-        prev = min_edge_boundary(1, params)
-        for m in range(2, top + 1):
-            cur = min_edge_boundary(m, params)
-            count += 1
-            if cur < prev:
-                bad.append(f"{params} m={m}")
-            prev = cur
-    rows.append(
-        _listed_row(
-            "unit-step-monotone",
-            "boundary never decreases on the first interval",
-            bad,
-            f"{count} steps",
-        )
-    )
-
-    # whole-block steps: g*arity^t -> (g+1)*arity^t
-    bad = []
-    count = 0
-    for params in _grid():
-        arity = params.arity
-        for t in range(params.dim - 1):
-            block = arity**t
-            prev = 0  # boundary of the empty set
-            for g in range(1, arity):
-                cur = min_edge_boundary(g * block, params)
-                count += 1
-                if cur < prev:
-                    bad.append(f"{params} g={g} t={t}")
-                prev = cur
-    rows.append(
-        _listed_row(
-            "block-step-monotone",
-            "boundary never decreases block to block",
-            bad,
-            f"{count} steps",
-        )
-    )
-
-    # power steps arity^t -> arity^(t+1)
-    bad = []
-    count = 0
-    for params in _grid():
-        arity = params.arity
-        for t in range(params.dim - 1):
-            count += 1
-            if min_edge_boundary(arity ** (t + 1), params) < min_edge_boundary(
-                arity**t, params
-            ):
-                bad.append(f"{params} t={t}")
-    rows.append(
-        _listed_row(
-            "power-step-monotone",
-            "boundary never decreases power to power",
-            bad,
-            f"{count} steps",
-        )
-    )
-
-    # floor property: nothing at or above a block undercuts the block value
-    bad = []
-    count = 0
-    for params in _grid():
-        arity = params.arity
-        for t in range(params.dim):
-            for g in range(1, arity):
-                thr = g * arity**t
-                if thr > params.half_size:
-                    continue
-                count += 1
-                if _min_boundary_from(thr, params) < min_edge_boundary(thr, params):
-                    bad.append(f"{params} threshold={thr}")
-    rows.append(
-        _listed_row(
-            "threshold-floor",
-            "no size at or above a block beats the block boundary",
-            bad,
-            f"{count} thresholds",
-        )
-    )
-
-    # block formula agrees with the general boundary
-    bad = []
-    count = 0
-    for params in _grid():
-        arity = params.arity
-        half = params.half_size
-        for t in range(params.dim):
-            for g in range(1, arity):
-                if g * arity**t > half:
-                    continue
-                count += 1
-                if sublayer_block_boundary(g, t, params) != min_edge_boundary(
-                    g * arity**t, params
-                ):
-                    bad.append(f"{params} g={g} t={t}")
-    rows.append(
-        _listed_row(
-            "block-formula-consistency",
-            "block expression equals general boundary",
-            bad,
-            f"{count} blocks",
-        )
-    )
-    return rows
+    ]
 
 
 # --- base-2 / base-3 reductions -------------------------------------------------
 
+def _reduction_cells(reduced, arity: int, dims, top: int):
+    for dim in dims:
+        params = HammingParams(arity, dim)
+        for m in range(1, top + 1):
+            holds = reduced(m, dim) == min_edge_boundary(m, params)
+            yield None if holds else f"n={dim} m={m}"
+
+
 def reduction_checks() -> list[CheckResult]:
     rows = []
-    bad = []
-    for dim in (13, 24):
-        params = HammingParams(2, dim)
-        for m in range(1, 2**12 + 1):
-            if min_boundary_binary(m, dim) != min_edge_boundary(m, params):
-                bad.append(f"n={dim} m={m}")
-    rows.append(
-        _row(
-            "binary-reduction",
-            "agreement for m <= 4096 at n=13 and n=24",
-            bad[:5] or "agreement for m <= 4096 at n=13 and n=24",
-        )
-    )
-    bad = []
-    for dim in (9, 16):
-        params = HammingParams(3, dim)
-        for m in range(1, 3**8 + 1):
-            if min_boundary_ternary(m, dim) != min_edge_boundary(m, params):
-                bad.append(f"n={dim} m={m}")
-    rows.append(
-        _row(
-            "ternary-reduction",
-            "agreement for m <= 6561 at n=9 and n=16",
-            bad[:5] or "agreement for m <= 6561 at n=9 and n=16",
-        )
-    )
+    for name, reduced, arity, dims, top in (
+        ("binary-reduction", min_boundary_binary, 2, (13, 24), 2**12),
+        ("ternary-reduction", min_boundary_ternary, 3, (9, 16), 3**8),
+    ):
+        summary = f"agreement for m <= {top} at n={dims[0]} and n={dims[1]}"
+        cells = _reduction_cells(reduced, arity, dims, top)
+        rows.append(_listed_row(name, summary, cells, summary))
     return rows
 
 
@@ -476,47 +415,53 @@ ORACLE_GRID_FULL = ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (3, 3))
 _ORACLE_M_CAP = 12  # profiles stop at this size (or floor(N/2) if smaller)
 
 
-def _profile_row(graph, params, profile, mode) -> CheckResult:
-    bad = []
-    for m, entry in enumerate(profile, start=1):
-        if entry is None:
-            bad.append(f"m={m}: no qualifying set")
-            continue
-        cut, witness = entry
-        want = min_edge_boundary(m, params)
-        if cut != want:
-            bad.append(f"m={m}: {cut}!={want}")
-            continue
-        report = evaluate_cut(graph, witness)
-        if report.cut_size != cut:
-            bad.append(f"m={m}: witness recount {report.cut_size}")
-        elif mode in ("connected", "bilateral") and not report.side_connected:
-            bad.append(f"m={m}: witness side disconnected")
-        elif mode == "bilateral" and not report.complement_connected:
-            bad.append(f"m={m}: witness complement disconnected")
-    return _listed_row(
-        f"scan-minimum[{mode}] {params}",
-        "enumerated minima equal closed form, witnesses check out",
-        bad,
-        f"sizes 1..{len(profile)}",
-    )
+def _profile_row(name, expected, graph, params, profile, mode) -> CheckResult:
+    """Each size's enumerated minimum equals the closed form of `params`,
+    and its witness recounts to it with the sides `mode` asks connected."""
+
+    def cells():
+        for m, entry in enumerate(profile, start=1):
+            if entry is None:
+                yield f"m={m}: no qualifying set"
+                continue
+            cut, witness = entry
+            want = min_edge_boundary(m, params)
+            if cut != want:
+                yield f"m={m}: {cut}!={want}"
+                continue
+            report = evaluate_cut(graph, witness)
+            if report.cut_size != cut:
+                yield f"m={m}: witness recount {report.cut_size}"
+            elif mode in ("connected", "bilateral") and not report.side_connected:
+                yield f"m={m}: witness side disconnected"
+            elif mode == "bilateral" and not report.complement_connected:
+                yield f"m={m}: witness complement disconnected"
+            else:
+                yield None
+
+    return _listed_row(name, expected, cells(), f"sizes 1..{len(profile)}")
 
 
 def oracle_agreement_checks(
-    budget: OracleBudget = DEFAULT_BUDGET,
-    grid=ORACLE_GRID_FAST,
+    budget: OracleBudget = DEFAULT_BUDGET, full: bool = False
 ) -> list[CheckResult]:
     """Unconstrained, connected and both-sides-connected minima all equal
     the closed form on small graphs, with verified witnesses."""
     rows = []
-    for arity, dim in grid:
+    for arity, dim in ORACLE_GRID_FULL if full else ORACLE_GRID_FAST:
         params = HammingParams(arity, dim)
         graph = hamming_graph(params)
         max_m = min(_ORACLE_M_CAP, params.half_size)
         profiles = {}
         for mode in ("any", "connected", "bilateral"):
             profiles[mode] = brute_boundary_profile(graph, max_m, mode, budget)
-            rows.append(_profile_row(graph, params, profiles[mode], mode))
+            rows.append(
+                _profile_row(
+                    f"scan-minimum[{mode}] {params}",
+                    "enumerated minima equal closed form, witnesses check out",
+                    graph, params, profiles[mode], mode,
+                )
+            )
         if max_m < params.half_size:
             continue
         # the least cut with a side of at least h vertices: suffix minima
@@ -554,24 +499,29 @@ def _bc_structure_row(graph) -> CheckResult:
     """
     n_vertices = graph.vertex_count
     dim = n_vertices.bit_length() - 1
-    levels = list(range(1, dim + 1))
-    bad = [] if n_vertices == 1 << dim else [f"{n_vertices} vertices, not a power of 2"]
-    arcs = set()
-    for v, row in enumerate(graph.adjacency):
-        arcs.update(zip(repeat(v), row))
-        if sorted((u ^ v).bit_length() for u in row) != levels:
-            bad.append(f"v={v}: neighbours {list(row)}")
-    bad += [f"{v}->{u} has no {u}->{v}" for v, u in sorted(arcs) if (u, v) not in arcs]
+
+    def cells():
+        holds = n_vertices == 1 << dim
+        yield None if holds else f"{n_vertices} vertices, not a power of 2"
+        levels = list(range(1, dim + 1))
+        arcs = set()
+        for v, row in enumerate(graph.adjacency):
+            arcs.update(zip(repeat(v), row))
+            holds = sorted((u ^ v).bit_length() for u in row) == levels
+            yield None if holds else f"v={v}: neighbours {list(row)}"
+        for v, u in sorted(arcs):
+            yield None if (u, v) in arcs else f"{v}->{u} has no {u}->{v}"
+
     return _listed_row(
         f"bc-structure {graph.label}",
         "symmetric rows, one neighbour per level",
-        bad,
+        cells(),
         f"levels 1..{dim} at {n_vertices} vertices",
     )
 
 
 def bc_transfer_checks(
-    budget: OracleBudget = DEFAULT_BUDGET, fast: bool = False
+    budget: OracleBudget = DEFAULT_BUDGET, full: bool = False
 ) -> list[CheckResult]:
     """Every matching variant, and each policy at dims 10 and 12, is a BC
     network; the both-sides-connected minima of every variant coincide with
@@ -580,25 +530,17 @@ def bc_transfer_checks(
     rows = []
     for dim in _BC_DIMS:
         params = HammingParams(2, dim)
-        half = 2 ** (dim - 1)
+        half = params.half_size
         for graph in _bc_variants(dim):
             rows.append(_bc_structure_row(graph))
-            if fast and dim == 4 and "identity" not in graph.label:
+            if not full and dim == 4 and "identity" not in graph.label:
                 continue
             profile = brute_boundary_profile(graph, half, "bilateral", budget)
-            bad = []
-            for m in range(1, half + 1):
-                entry = profile[m - 1]
-                want = min_edge_boundary(m, params)
-                if entry is None or entry[0] != want:
-                    got = None if entry is None else entry[0]
-                    bad.append(f"m={m}: {got}!={want}")
             rows.append(
-                _listed_row(
+                _profile_row(
                     f"bc-transfer {graph.label}",
                     "matches binary Hamming boundary",
-                    bad,
-                    f"sizes 1..{half}",
+                    graph, params, profile, "bilateral",
                 )
             )
             if dim == 4:
@@ -625,20 +567,15 @@ TWO_PART_GRAPHS = ((2, 3), (2, 4), (3, 2), (4, 2))
 
 
 def _feasible_conditions(params: HammingParams):
-    half = params.vertex_count // 2
-    for h in range(1, half + 1):
-        yield ConditionKind.extra(h)
-    for h in range(1, half + 1):
-        yield ConditionKind.isoperimetric(h)
+    for kind in ("extra", "isoperimetric"):
+        for h in range(1, params.half_size + 1):
+            yield ConditionKind(kind, h)
     for t in range(params.dim):
         yield ConditionKind.embedded(t)
         yield ConditionKind.super_degree((params.arity - 1) * t)
         yield ConditionKind.average_degree((params.arity - 1) * t)
-    try:
-        ConditionKind.cyclic().sublayer_split(params)
+    if _cyclic_expected(params.arity, params.dim) is not None:
         yield ConditionKind.cyclic()
-    except DomainError:
-        pass
 
 
 def two_part_checks(budget: OracleBudget = DEFAULT_BUDGET) -> list[CheckResult]:

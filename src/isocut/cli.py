@@ -239,11 +239,10 @@ def _verify_rows(scope: str, full: bool, budget: OracleBudget):
         yield from checks.monotonicity_checks()
         yield from checks.reduction_checks()
     if scope in ("oracle", "all"):
-        grid = checks.ORACLE_GRID_FULL if full else checks.ORACLE_GRID_FAST
-        yield from checks.oracle_agreement_checks(budget, grid)
+        yield from checks.oracle_agreement_checks(budget, full)
         yield from checks.two_part_checks(budget)
     if scope in ("bc", "all"):
-        yield from checks.bc_transfer_checks(budget, fast=not full)
+        yield from checks.bc_transfer_checks(budget, full)
 
 
 def _run_verify(args) -> int:

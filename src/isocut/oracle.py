@@ -929,26 +929,26 @@ def brute_conditional(
 
     Both sides must satisfy the condition; both sides must be connected for
     every kind except isoperimetric, which scans arbitrary subsets of size
-    h..floor(N/2) instead. Raises InfeasibleError when nothing qualifies.
-    `params` is required for the embedded kind (sub-layer structure). On a
+    h..floor(N/2) instead. Raises InfeasibleError when nothing qualifies,
+    before enumerating anything when a size h exceeds floor(N/2). `params`
+    is required for the embedded kind (sub-layer structure). On a
     certified vertex-transitive graph only sides containing vertex 0,
     pruned further by the stabiliser of 0, are enumerated; the optimum,
     witness and atom size are the same.
     """
     t0 = time.perf_counter()
-    _require_oracle_scale(graph, budget)
     n = graph.vertex_count
     half = n // 2
+    if cond.kind in ("extra", "isoperimetric") and cond.value > half:
+        raise InfeasibleError(
+            f"{cond.describe()} needs both sides >= {cond.value}, impossible on "
+            f"{n} vertices"
+        )
+    _require_oracle_scale(graph, budget)
 
     if cond.kind == "isoperimetric":
-        h = cond.value
-        if h > half:
-            raise InfeasibleError(
-                f"isoperimetric({h}) needs both sides >= {h}, impossible on "
-                f"{n} vertices"
-            )
         entries, visited = _profile(graph, half, "any", budget)
-        best = _least(entries[h - 1:])
+        best = _least(entries[cond.value - 1:])
     else:
         pred = _side_predicate(cond, params, graph)
         results, visited = _run_engine(
@@ -970,11 +970,6 @@ def brute_extra_connectivity(
     canonical optimal fragment across all achieving sizes."""
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
-    if h > graph.vertex_count // 2:
-        raise InfeasibleError(
-            f"extra({h}) needs both sides >= {h}, impossible on "
-            f"{graph.vertex_count} vertices"
-        )
     return brute_conditional(graph, ConditionKind.extra(h), budget=budget)
 
 

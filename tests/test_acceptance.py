@@ -78,9 +78,7 @@ def test_criterion_03_witness_consistency_sweep():
 
 def test_criterion_04_oracle_formula_agreement():
     rows = run_suite(
-        lambda: checks.oracle_agreement_checks(
-            ORACLE_ACCEPTANCE_BUDGET, checks.ORACLE_GRID_FULL
-        ),
+        lambda: checks.oracle_agreement_checks(ORACLE_ACCEPTANCE_BUDGET, full=True),
         budget_s=900.0,
     )
     covered = {name.split()[-1] for name in (r.name for r in rows)}
@@ -117,7 +115,7 @@ def test_criterion_05_floor_row_sees_every_size(monkeypatch):
 
 def test_criterion_06_bc_network_transfer():
     rows = run_suite(
-        lambda: checks.bc_transfer_checks(ORACLE_ACCEPTANCE_BUDGET, fast=False),
+        lambda: checks.bc_transfer_checks(ORACLE_ACCEPTANCE_BUDGET, full=True),
         budget_s=120.0,
     )
     # every dim-4 matching variant must hit 4-extra connectivity 8

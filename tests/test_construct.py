@@ -26,35 +26,14 @@ from isocut.graphs import (
     components,
     encode,
     hamming_graph,
-    parse_edge_list,
 )
+
+from helpers import graph_from_edges, pocket_graph, relabelled
 
 
 @pytest.fixture(scope="module")
 def q4():
     return hamming_graph(HammingParams(2, 4))
-
-
-def graph_from_edges(n, edges, label):
-    lines = [f"# vertices={n} edges={len(edges)} label={label}"]
-    lines += [f"{u} {v}" for u, v in sorted(edges)]
-    return parse_edge_list("\n".join(lines) + "\n")
-
-
-def relabelled(graph, seed):
-    perm = list(range(graph.vertex_count))
-    random.Random(seed).shuffle(perm)
-    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges()}
-    return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
-
-
-def pocket_graph():
-    """K6 core with three pendant triangles: vertex 5 has no larger neighbour."""
-    edges = list(itertools.combinations(range(6), 2))
-    for base in (6, 9, 12):
-        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-    edges += [(0, 6), (1, 9), (2, 12)]
-    return graph_from_edges(15, edges, "pocket")
 
 
 def random_graph_with_late_isolated_vertex(seed):

@@ -10,7 +10,6 @@ import ast
 import contextlib
 import itertools
 import multiprocessing
-import random
 import subprocess
 import sys
 import threading
@@ -34,7 +33,7 @@ from isocut.errors import (
     SubsetBudgetError,
     UnsupportedError,
 )
-from isocut.graphs import HammingParams, bc_network, components, hamming_graph, parse_edge_list
+from isocut.graphs import HammingParams, bc_network, components, hamming_graph
 from isocut.oracle import (
     OracleBudget,
     bipartite_property_check,
@@ -46,11 +45,7 @@ from isocut.oracle import (
     brute_min_boundary_connected,
 )
 
-
-def graph_from_edges(n, edges, label):
-    lines = [f"# vertices={n} edges={len(edges)} label={label}"]
-    lines += [f"{u} {v}" for u, v in sorted(edges)]
-    return parse_edge_list("\n".join(lines) + "\n")
+from helpers import graph_from_edges, pocket_graph, relabelled
 
 
 def reference_profile(graph, max_m, mode):
@@ -75,20 +70,6 @@ def reference_profile(graph, max_m, mode):
                 best = (cut, combo)
         out.append(best)
     return out
-
-
-def pocket_graph():
-    """K6 core with three pendant triangles; separates the three modes.
-
-    At m = 6 the best unrestricted set is two whole triangles (cut 2,
-    disconnected), the best connected set is the core (cut 3), and the core's
-    complement falls apart, pushing the bilateral optimum higher still.
-    """
-    edges = list(itertools.combinations(range(6), 2))
-    for base in (6, 9, 12):
-        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-    edges += [(0, 6), (1, 9), (2, 12)]
-    return graph_from_edges(15, edges, "pocket")
 
 
 CROSS_CHECK_GRAPHS = [
@@ -643,6 +624,24 @@ class TestConditionalOracle:
         with pytest.raises(InfeasibleError):
             brute_conditional(q2, ConditionKind.cyclic())
 
+    @pytest.mark.parametrize("kind", ["extra", "isoperimetric"])
+    def test_impossible_size_rejected_before_enumeration(self, kind):
+        # a one-subset budget would stop any enumeration at its first set
+        k33 = hamming_graph(HammingParams(3, 3))
+        want = f"{kind}\\(14\\) needs both sides >= 14, impossible on 27 vertices"
+        with pytest.raises(InfeasibleError, match=want):
+            brute_conditional(
+                k33, ConditionKind(kind, 14), budget=OracleBudget(max_subsets=1)
+            )
+
+    def test_extra_connectivity_is_the_extra_condition(self):
+        q3 = hamming_graph(HammingParams(2, 3))
+        a = brute_extra_connectivity(q3, 2)
+        b = brute_conditional(q3, ConditionKind.extra(2))
+        assert (a.optimum, a.witness, a.atom_size) == (b.optimum, b.witness, b.atom_size)
+        with pytest.raises(InfeasibleError, match="extra\\(5\\) needs both sides >= 5"):
+            brute_extra_connectivity(q3, 5)
+
     def test_extra_domain(self):
         q3 = hamming_graph(HammingParams(2, 3))
         with pytest.raises(DomainError):
@@ -731,13 +730,6 @@ def weight_minima(arity, dim):
     for v in range(arity**dim):
         least.setdefault(weight(v), v)
     return tuple(least[weight(v)] for v in range(arity**dim))
-
-
-def relabelled(graph, seed):
-    perm = list(range(graph.vertex_count))
-    random.Random(seed).shuffle(perm)
-    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges()}
-    return graph_from_edges(graph.vertex_count, edges, f"{graph.label}-relabelled")
 
 
 def weight3_q4():
