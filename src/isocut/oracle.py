@@ -14,9 +14,9 @@ or idea with the formula side. Working notes on the engines:
   slow on arbitrary sets: the 536,155 sets of K_5^2 up to size 8 that
   contain vertex 0 take about 0.2 s scanned and 0.4 s walked from a free
   start with per-size minima (Python 3.11, one core). It takes the free
-  walker's tasks, whose paths are vertex sequences there, and returns the
-  profile visitor's per-size entries, so one reduction builds every
-  profile.
+  walker's tasks, whose subtrees there extend a node's set by vertices
+  above its largest, and returns the profile visitor's per-size entries,
+  so one reduction builds every profile.
 * One walker, rooted growth in the style of ESU (Wernicke 2006), does every
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
@@ -26,12 +26,12 @@ or idea with the formula side. Working notes on the engines:
   both sides must be), and the cut visitor keeps the best qualifying
   bipartition for conditional connectivity and gates its expensive checks
   (complement connectivity, side predicates) behind the current best cut.
-  A task is an extension path (root, i1, i2, ...): it takes the subtree
-  of the set reached by growing {root} by its i1-th extension, that set by
-  its i2-th and so on, and visits each set on the way alone when its
-  indices past that set are all 0. So task (root, 0) visits {root}
-  itself, a root with no larger neighbour gets a task of its own, and no
-  caller handles singletons.
+  A task is (node, whole): a walker state and whether it takes the node's
+  whole subtree or the node's set alone. One rule, ``_split``, turns a
+  node into its set alone and one whole task per extension, each child
+  grown as the walker grows it; a node with no extension within max_m
+  stays one whole task. A root's tasks are ``_split`` of its node, so no
+  caller handles singletons and no task is empty.
 * Witnesses stay bitmasks until they leave the oracle, and one rule,
   ``_lex_less``, orders them as sorted vertex tuples: with d the least
   vertex in a ^ b, the set holding d is the lesser one, unless the other
@@ -56,10 +56,10 @@ or idea with the formula side. Working notes on the engines:
   automorphisms fixing 0 (digit-position swaps and value swaps of the
   base-L reading, each kept only if it is one). The least optimal side's
   second vertex v is least in its H-orbit, or some h in H would map the
-  side to a lesser optimal one that still holds 0. So a free start takes
-  only the tasks (0, v - 1), the sets whose second vertex is v, with v an
-  orbit minimum. Connected growth takes only task (0, 0), {0} and the sets
-  holding {0, 1}, when 1 is a neighbour of 0 and H moves 1 onto all of
+  side to a lesser optimal one that still holds 0. So a free start keeps,
+  of the tasks that split {0}, {0} alone and the children {0, v} whose v
+  is an orbit minimum. Connected growth keeps {0} alone and the child
+  {0, 1}, when 1 is a neighbour of 0 and H moves 1 onto all of
   N(0) (on K_L^n H is the whole stabiliser of 0): a larger connected side
   holds some w in N(0), and an h with h(w) = 1 maps it to a side starting
   (0, 1), so the least one holds 1. With 0's least neighbour u > 1 that
@@ -71,21 +71,21 @@ or idea with the formula side. Working notes on the engines:
   witnesses, atom sizes and two-part verdicts do not change. The
   certificate reads only the adjacency, never the label, and is the sole
   gate: every other graph gets the full enumeration. The pruned scans are
-  a few lopsided tasks, often the one (0, 0), so a parallel call splits
-  them further (see the runner).
+  a few lopsided tasks, often {0} and the one child {0, 1}, so a parallel
+  call splits them further (see the runner).
 * Both enumerators split their work into tasks that go through one runner.
   ``OracleBudget.parallel_chunks`` = W counts the processes, the caller
   included. A serial call (W = 1) runs its tasks in-process as they are.
   With W > 1 there are workers to share the work, so the tasks are first
-  refined one extension level at a time, each path into one path per
-  extension of its end, until there are at least 8W of them or a level
-  splits none; refined in-process they would only cost more, each task's
-  visitor starting with no best cut. The caller then runs the interleaved
-  share items[0::W] itself while each of W - 1 workers runs items[k::W],
-  sent in one message. Results are put back in task order and combined
-  with a deterministic min-reduction, so parallel results, witnesses and
-  state counts match serial ones bit for bit. Every task takes its call's
-  state as an argument, so threads mixing serial and parallel calls share
+  refined one extension level at a time, each whole task by ``_split``,
+  until there are at least 8W of them or a level splits none; refined
+  in-process they would only cost more, each task's visitor starting with
+  no best cut. The caller then runs the interleaved share items[0::W]
+  itself while each of W - 1 workers runs items[k::W], sent in one
+  message. Results are put back in task order and combined with a
+  deterministic min-reduction, so parallel results, witnesses and state
+  counts match serial ones bit for bit. Every task takes its call's state
+  as an argument, so threads mixing serial and parallel calls share
   nothing but the workers. Task functions and side predicates are
   module-level and picklable, so workers run under every start method
   (fork, spawn, forkserver).
@@ -343,32 +343,31 @@ def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
     return tuple(find(v) for v in range(graph.vertex_count))
 
 
-def _tasks(graph: Graph, free: bool, rooted: bool = False) -> list[tuple[int, int]]:
-    """The tasks, extension paths (root, i1) of one step, whose sets
-    include the lexicographically least optimal side of any
-    automorphism-invariant problem over connected sets, or over arbitrary
-    sets when free: every root's on an uncertified graph (root 0's when
-    rooted), and on a certified one root 0's, pruned under H as the module
-    notes say. Were 0's least neighbour u > 1, a
-    connected side could hold 0 and some x < u outside N(0) and be less
-    than every side holding {0, u}, so the lone task (0, 0) needs u = 1.
+def _tasks(graph: Graph, state: dict, rooted: bool = False) -> list:
+    """The tasks whose sets include the lexicographically least optimal
+    side of any automorphism-invariant problem over connected sets, or over
+    arbitrary sets when state['free']: ``_split`` of every root's node on an
+    uncertified graph (root 0's when rooted), and on a certified one that of
+    root 0's, pruned under H as the module notes say. Were 0's least
+    neighbour u > 1, a connected side could hold 0 and some x < u outside
+    N(0) and be less than every side holding {0, u}, so keeping only the
+    child {0, 1} needs u = 1.
     """
     n = graph.vertex_count
-    masks = graph.neighbor_masks
+    masks, degrees, free = state["masks"], state["degrees"], state["free"]
     orbit = _orbit_minima(graph)
-    if orbit is not None:
-        if free:
-            return [(0, v - 1) for v in range(1, n) if orbit[v] == v]
-        nbrs = graph.adjacency[0]
-        if nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
-            return [(0, 0)]
+    nbrs = graph.adjacency[0]
+    keep = range(n)  # the largest vertex of a task's set: 0 for {0}, v for {0, v}
+    if orbit is not None and free:
+        keep = {v for v in range(n) if orbit[v] == v}
+    elif orbit is not None and nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
+        keep = {0, 1}
     roots = n if orbit is None and not rooted else 1
-    full = (1 << n) - 1
-    # one task per first extension of each root, and a lone (root, 0) for a root with none
     return [
-        (root, j)
+        task
         for root in range(roots)
-        for j in range(max(1, _root_start(masks, root, full, free)[0].bit_count()))
+        for task in _split(state, _root_node(masks, degrees, root, state["full"], free))
+        if task[0][0].bit_length() - 1 in keep
     ]
 
 
@@ -487,7 +486,7 @@ def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
 
 def _beta_task(state, item, cap):
     """The least (cut, mask, size) entry of each size 1..max_m, None where
-    nothing was scanned, over the sets of task `item` (see _path_nodes).
+    nothing was scanned, over the sets of task `item` (see _split).
 
     The caller checks the whole scan against the budget up front, so cap is
     never reached here.
@@ -513,13 +512,13 @@ def _beta_task(state, item, cap):
             if grow:
                 rec(v + 1, mask | bit, nsize, ncut)
 
-    # the path's sets come first, one per size, and depth-first order is
-    # lexicographic order, so the first optimum kept is the least
-    for (mask, _, _, size, cut, _), whole in _path_nodes(state, item):
-        best_cut[size] = cut
-        best_mask[size] = mask
-        if whole and size < max_m:
-            rec(mask.bit_length(), mask, size, cut)
+    # the node's set comes first, and depth-first order is lexicographic
+    # order, so the first optimum kept is the least
+    (mask, _, _, size, cut, _), whole = item
+    best_cut[size] = cut
+    best_mask[size] = mask
+    if whole and size < max_m:
+        rec(mask.bit_length(), mask, size, cut)
     entries = [
         None if cut is None else (cut, mask, size)
         for size, (cut, mask) in enumerate(zip(best_cut, best_mask))
@@ -527,16 +526,13 @@ def _beta_task(state, item, cap):
     return entries, _scan_states(state, item)
 
 
-def _scan_states(state: dict, item: tuple[int, ...]) -> int:
+def _scan_states(state: dict, item: tuple) -> int:
     """The sets of size 1..max_m that task `item` of the fixed-size scan
-    takes: the path's sets visited alone, and every set that extends the
-    path's end by vertices above its last one."""
-    n = len(state["masks"])
-    return sum(
-        sum(math.comb(n - mask.bit_length(), k) for k in range(state["max_m"] - size + 1))
-        if whole else 1
-        for (mask, _, _, size, _, _), whole in _path_nodes(state, item)
-    )
+    takes: the node's set alone, or with every set that extends it by
+    vertices above its largest."""
+    (mask, _, _, size, _, _), whole = item
+    above = len(state["masks"]) - mask.bit_length()
+    return sum(math.comb(above, k) for k in range(state["max_m"] - size + 1)) if whole else 1
 
 
 # --- engine: rooted growth ----------------------------------------------------
@@ -577,72 +573,57 @@ def _walker(rows, degrees, max_m, visit, tally):
     return grow
 
 
-def _root_start(rows, root: int, pool: int, free: bool) -> tuple[int, int]:
-    """(ext, seen) of {root} for the sets whose least vertex is root inside
-    pool: connected along rows, or any subset of pool when free, where every
-    larger pool vertex is in ext and all of them count as seen."""
+def _root_node(rows, degrees, root: int, pool: int, free: bool) -> tuple:
+    """The walker state of {root} for the sets whose least vertex is root
+    inside pool: connected along rows, or any subset of pool when free,
+    where every larger pool vertex is in ext and all of them count as
+    seen."""
     low_mask = (1 << (root + 1)) - 1
     if free:
-        return pool & ~low_mask, -1
-    ext = rows[root] & ~low_mask
-    return ext, low_mask | ext
+        ext, seen = pool & ~low_mask, -1
+    else:
+        ext = rows[root] & ~low_mask
+        seen = low_mask | ext
+    return 1 << root, ext, seen, 1, degrees[root], 0
 
 
-def _path_nodes(state: dict, item: tuple[int, ...]) -> list:
-    """The states along the extension path item = (root, i1, i2, ...) that
-    task `item` visits, each with whether its whole subtree is taken.
-
-    A task takes the subtree of the path's end: {root}, its i1-th extension,
-    that set's i2-th extension and so on, as the walker grows them. A set
-    on the way is visited alone, by the one task whose indices past it are
-    all 0, so the tasks (root, 0) .. (root, c - 1) split the subtree of
-    {root} exactly. A path stops early where an index has no extension or
-    the set would pass max_m. Each state is (mask, ext, seen, size, cut,
-    internal).
-    """
+def _split(state: dict, node: tuple) -> list:
+    """Tasks (node, whole), each taking a node's whole subtree or its set
+    alone, that together take node's subtree: its set alone and each of
+    its children whole, grown as the walker grows them; node whole where
+    it has no extension within max_m."""
+    mask, ext, seen, size, cut, internal = node
+    if not ext or size == state["max_m"]:
+        return [(node, True)]
     masks = state["masks"]
     degrees = state["degrees"]
-    root = item[0]
-    ext, seen = _root_start(masks, root, state["full"], state["free"])
-    node = (1 << root, ext, seen, 1, degrees[root], 0)
-    path = [node]
-    for index in item[1:]:
-        mask, ext, seen, size, cut, internal = node
-        for _ in range(index):
-            ext &= ext - 1
-        if not ext or size == state["max_m"]:
-            break
+    tasks = [(node, False)]
+    while ext:
         low = ext & -ext
+        ext ^= low
         v = low.bit_length() - 1
         common = (masks[v] & mask).bit_count()
         fresh = masks[v] & ~seen
-        node = (
+        child = (
             mask | low,
-            (ext ^ low) | fresh,
+            ext | fresh,
             seen | fresh,
             size + 1,
             cut + degrees[v] - 2 * common,
             internal + common,
         )
-        path.append(node)
-    end = len(item) - 1 if len(path) == len(item) else None
-    return [
-        (node, depth == end)
-        for depth, node in enumerate(path)
-        if depth == end or not any(item[depth + 1:])
-    ]
+        tasks.append((child, True))
+    return tasks
 
 
 def _refine(state: dict, items: list, target: int) -> list:
-    """The tasks split one extension level at a time, each path into one
-    path per extension of its end, until there are at least target tasks
-    or a level splits none; they take the same sets as items."""
+    """The tasks split one extension level at a time, each whole task by
+    _split, until there are at least target tasks or a level splits none;
+    they take the same sets as items."""
     while len(items) < target:
         finer = []
-        for item in items:
-            ends = [node for node, whole in _path_nodes(state, item) if whole]
-            width = ends[0][1].bit_count() if ends and ends[0][3] < state["max_m"] else 0
-            finer += [(*item, j) for j in range(width)] or [item]
+        for node, whole in items:
+            finer += _split(state, node) if whole else [(node, whole)]
         if len(finer) == len(items):
             break
         items = finer
@@ -659,31 +640,28 @@ def _engine_state(graph: Graph, max_m: int, **fields) -> dict:
     )
 
 
-def _run_engine(graph: Graph, task, max_m: int, items: list, budget: OracleBudget, **fields):
+def _run_engine(task, state: dict, items: list, budget: OracleBudget):
     """The results of task over the items, in order, and the states
-    visited, on sets of at most max_m vertices. With more than one process
-    the items are first refined to at least eight tasks per process, as far
-    as their paths split: the pruned scans are a few lopsided tasks, often
-    one."""
-    state = _engine_state(graph, max_m, **fields)
+    visited. With more than one process the items are first refined to at
+    least eight tasks per process, as far as their nodes split: the pruned
+    scans are a few lopsided tasks, often two."""
     if budget.parallel_chunks > 1:
         items = _refine(state, items, 8 * budget.parallel_chunks)
     return _run_tasks(task, state, items, budget)
 
 
 def _grow_task(state, item, cap):
-    """Grow the sets of task `item` (see _path_nodes): every set S with
-    min(S) = root and |S| <= max_m, connected along the state's masks or
-    arbitrary when state['free'] is set, that the path's end leads to, and
-    the path's sets this task visits alone. Passes each to the visitor
-    built by the state's visitor factory and returns (the visitor's partial
-    result, visited).
+    """Grow the sets of task `item` (see _split): the node's set alone, or
+    every set of at most max_m vertices in its subtree, connected along the
+    state's masks or arbitrary when state['free'] is set. Passes each to the
+    visitor built by the state's visitor factory and returns (the visitor's
+    partial result, visited).
     """
     tally = [cap]
     visit, finish = state["visitor"](state, tally)
     grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, tally)
-    for (mask, ext, *rest), whole in _path_nodes(state, item):
-        grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
+    (mask, ext, *rest), whole = item
+    grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
     return finish(), cap - tally[0]
 
 
@@ -731,19 +709,18 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     if mode not in ("any", "connected", "bilateral"):
         raise DomainError(f"unknown mode {mode!r}")
     free = mode == "any"
-    tasks = _tasks(graph, free)
+    state = _engine_state(
+        graph, max_m, free=free, visitor=_profile_visitor, bilateral=mode == "bilateral"
+    )
+    tasks = _tasks(graph, state)
     if free:
-        state = _engine_state(graph, max_m, free=True)
         total = sum(_scan_states(state, item) for item in tasks)
         if total > budget.max_subsets:
             raise SubsetBudgetError(
                 f"{total} subsets of size <= {max_m} exceed max_subsets="
                 f"{budget.max_subsets}"
             )
-    results, visited = _run_engine(
-        graph, _beta_task if free else _grow_task, max_m, tasks, budget,
-        free=free, visitor=_profile_visitor, bilateral=mode == "bilateral",
-    )
+    results, visited = _run_engine(_beta_task if free else _grow_task, state, tasks, budget)
     return [_least(part[m] for part in results) for m in range(1, max_m + 1)], visited
 
 
@@ -950,11 +927,11 @@ def brute_conditional(
         entries, visited = _profile(graph, half, "any", budget)
         best = _least(entries[cond.value - 1:])
     else:
-        pred = _side_predicate(cond, params, graph)
-        results, visited = _run_engine(
-            graph, _grow_task, half, _tasks(graph, False), budget,
-            free=False, visitor=_cut_visitor, pred=pred, edges=graph.edge_count,
+        state = _engine_state(
+            graph, half, free=False, visitor=_cut_visitor,
+            pred=_side_predicate(cond, params, graph), edges=graph.edge_count,
         )
+        results, visited = _run_engine(_grow_task, state, _tasks(graph, state), budget)
         best = _least(results)
         if best is None:
             raise InfeasibleError(
@@ -1013,8 +990,7 @@ def _partition_visitor(state: dict, tally):
         degrees = tuple(row.bit_count() for row in rows)
         root = (pool & -pool).bit_length() - 1
         grow = _walker(rows, degrees, pool.bit_count(), parts_of(pool, acc_cut, parts), tally)
-        ext, seen = _root_start(rows, root, pool, free)
-        grow(1 << root, ext, seen, 1, degrees[root], 0)
+        grow(*_root_node(rows, degrees, root, pool, free))
 
     return parts_of(state["full"], 0, 0), lambda: (best, zs)
 
@@ -1029,10 +1005,11 @@ def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget
     pruned under H like a side of a bipartition: H fixes 0 and maps each
     partition to one with the same cut, part count and qualifying parts.
     """
-    results, _ = _run_engine(
-        graph, _grow_task, graph.vertex_count, _tasks(graph, free, rooted=True), budget,
+    state = _engine_state(
+        graph, graph.vertex_count,
         free=free, visitor=_partition_visitor, pred=part_ok, cut_budget=cut_budget,
     )
+    results, _ = _run_engine(_grow_task, state, _tasks(graph, state, rooted=True), budget)
     cuts = [cut for cut, _ in results if cut is not None]
     if not cuts:
         return None, set()

@@ -373,13 +373,15 @@ class TestBudgets:
             connected_bc4(5000, chunks)
 
     def test_share_cap_is_cumulative(self):
-        # each of the 33 tasks fits under 5000 states, the share of all of
+        # each of the 48 tasks fits under 5000 states, the share of all of
         # them (15910) does not, so the share stops at the task that passes
         graph = bc_network(4, "seeded_random", seed=7)
         state = oracle._engine_state(
             graph, 8, free=False, visitor=oracle._profile_visitor, bilateral=False
         )
-        items = oracle._tasks(graph, False)
+        items = oracle._tasks(graph, state)
+        assert len(items) == 48
+        assert max(oracle._grow_task(state, item, 5000)[1] for item in items) < 5000
         outcomes = oracle._run_share(oracle._grow_task, state, items, 15910)
         assert sum(states for _, states in outcomes) == 15910
         with pytest.raises(SubsetBudgetError):
@@ -791,7 +793,9 @@ class TestCertificate:
         graph = weight3_q4()
         assert oracle._orbit_minima(graph) == weight_minima(2, 4)
         assert graph.adjacency[0][0] == 7
-        assert oracle._tasks(graph, False) == [(0, j) for j in range(len(graph.adjacency[0]))]
+        state = oracle._engine_state(graph, 4, free=False)
+        tasks = [(node[0], whole) for node, whole in oracle._tasks(graph, state)]
+        assert tasks == [(1, False)] + [(1 | 1 << w, True) for w in graph.adjacency[0]]
         assert brute_min_boundary_connected(graph, 4).witness == (0, 3, 13, 14)
 
     def test_translations_without_stabiliser(self, monkeypatch):
@@ -1046,7 +1050,7 @@ class TestPartitionScanAgainstReference:
                 assert got == want, (cond.describe(), cut_budget)
 
 
-# --- tasks split along extension paths for a parallel call --------------------
+# --- tasks split node by node for a parallel call ------------------------------
 
 SPLIT_GRAPHS = [
     ("k52", partial(hamming_graph, HammingParams(5, 2)), HammingParams(5, 2), 8),
@@ -1140,13 +1144,24 @@ class TestTaskSplit:
                 partial(oracle._profile, graph, 8, "connected", budget)
             )
             items.append(tasks)
-        assert items[0] == [(0, 0)]
+        # {0} alone and the whole subtree of {0, 1}
+        assert [(node[0], whole) for node, whole in items[0]] == [(1, False), (3, True)]
         assert len(items[1]) >= SPLIT_TARGET
 
     def test_paths_past_the_size_cap_stay_whole(self):
-        # with max_m = 1 only {0} is visited, by task (0, 0); no path grows
-        graph = hamming_graph(HammingParams(2, 3))
-        state = oracle._engine_state(graph, 1, free=True)
-        items = oracle._tasks(graph, True)
-        assert oracle._refine(state, items, SPLIT_TARGET) == items
-        assert [oracle._scan_states(state, item) for item in items] == [1, 0, 0]
+        # with max_m = 1 each task is one root's set, whole; none is empty
+        # and none splits: {0} alone on the certified K_2^3, every root on
+        # the uncertified BC network
+        for graph, roots in (
+            (hamming_graph(HammingParams(2, 3)), 1),
+            (bc_network(3, "seeded_random", seed=7), 8),
+        ):
+            for free in (True, False):
+                state = oracle._engine_state(graph, 1, free=free)
+                items = oracle._tasks(graph, state)
+                assert [(node[0], node[3], whole) for node, whole in items] == [
+                    (1 << root, 1, True) for root in range(roots)
+                ]
+                assert oracle._refine(state, items, SPLIT_TARGET) == items
+                if free:
+                    assert [oracle._scan_states(state, item) for item in items] == [1] * roots
