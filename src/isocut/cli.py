@@ -3,8 +3,10 @@
 Five subcommands: `xi` (boundary formulas), `lambda` (conditional
 connectivities), `construct` (optimal sets with a materialized cut report),
 `verify` (the check suites), `graph` (edge-list files). Output is human text
-by default; `--format json` and `--format csv` are schema-stable, and every
-JSON payload carries schema_version.
+by default; `--format json` is schema-stable and every JSON payload carries
+schema_version. `xi`, `lambda` and `construct` also take the schema-stable
+`--format csv`; `verify` rows have no CSV form, so it takes only human and
+json.
 
 Exit codes: 0 success, 2 domain/unsupported error, 3 budget exceeded,
 4 verification failure.
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the oracle's vertex cap (default %(default)s); not "
         f"{ENV_VERTEX_CAP}, which caps graph building",
     )
-    add_format(p)
+    p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_run_verify)
 
     p = sub.add_parser("graph", help="write an edge-list file")

@@ -249,6 +249,13 @@ class TestVerify:
         assert payload["failures"] == 0
         assert all(c["status"] in ("pass", "fail", "note") for c in payload["checks"])
 
+    def test_csv_format_exits_2(self):
+        # verify rows have no CSV form: argparse rejects it, where it once
+        # printed human text and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scope", "lemmas", "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_lemma_rows_same_in_both_tiers(self, capsys):
         # the lemma rows are exhaustive, so --full has nothing more to check
         tiers = []
