@@ -442,6 +442,12 @@ def _profile_row(name, expected, graph, params, profile, mode) -> CheckResult:
     return _listed_row(name, expected, cells(), f"sizes 1..{len(profile)}")
 
 
+def _suffix_cells(kind: str, params: HammingParams, wants):
+    for h, want in enumerate(wants, start=1):
+        got = conditional_connectivity(ConditionKind(kind, h), params)
+        yield None if got == want else f"h={h}: {got}!={want}"
+
+
 def oracle_agreement_checks(
     budget: OracleBudget = DEFAULT_BUDGET, full: bool = False
 ) -> list[CheckResult]:
@@ -467,10 +473,12 @@ def oracle_agreement_checks(
         # the least cut with a side of at least h vertices: suffix minima
         for kind, mode in (("extra", "bilateral"), ("isoperimetric", "any")):
             cuts = [math.inf if e is None else e[0] for e in profiles[mode]]
-            want = list(accumulate(reversed(cuts), min))[::-1]
-            conds = (ConditionKind(kind, h) for h in range(1, max_m + 1))
-            got = [conditional_connectivity(c, params) for c in conds]
-            rows.append(_row(f"suffix-minimum[{kind}] {params}", want, got))
+            wants = list(accumulate(reversed(cuts), min))[::-1]
+            rows.append(_listed_row(
+                f"suffix-minimum[{kind}] {params}",
+                f"closed form equals the suffix minima of scan-minimum[{mode}]",
+                _suffix_cells(kind, params, wants), "h=1..{count}",
+            ))
     return rows
 
 

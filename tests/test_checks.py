@@ -126,6 +126,20 @@ def test_connectivity_grid_row_names_the_planted_condition(
     assert rows[0].expected == "all conditions match closed forms"
 
 
+def test_suffix_minimum_row_names_the_planted_h(monkeypatch):
+    cell = (ConditionKind.extra(3), HammingParams(2, 3))
+    wrong = checks.conditional_connectivity(*cell) + 1
+    _plant(
+        monkeypatch,
+        "conditional_connectivity",
+        lambda cond, params: wrong if (cond, params) == cell else None,
+    )
+    rows = [r for r in checks.oracle_agreement_checks() if r.status != "pass"]
+    assert [(r.name, r.status, r.actual) for r in rows] == [
+        ("suffix-minimum[extra] K_2^3", "fail", [f"h=3: {wrong}!={wrong - 1}"])
+    ]
+
+
 @pytest.mark.parametrize(
     "field, actual",
     [
