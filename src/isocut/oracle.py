@@ -357,7 +357,7 @@ def _tasks(graph: Graph, state: dict, rooted: bool = False) -> list:
     masks, degrees, free = state["masks"], state["degrees"], state["free"]
     orbit = _orbit_minima(graph)
     nbrs = graph.adjacency[0]
-    keep = range(n)  # the largest vertex of a task's set: 0 for {0}, v for {0, v}
+    keep = range(n)  # pruned, a task's set is {0} or {0, v}: keep it by its largest vertex
     if orbit is not None and free:
         keep = {v for v in range(n) if orbit[v] == v}
     elif orbit is not None and nbrs and nbrs[0] == 1 and all(orbit[w] == 1 for w in nbrs):
@@ -588,10 +588,10 @@ def _root_node(rows, degrees, root: int, pool: int, free: bool) -> tuple:
 
 
 def _split(state: dict, node: tuple) -> list:
-    """Tasks (node, whole), each taking a node's whole subtree or its set
-    alone, that together take node's subtree: its set alone and each of
-    its children whole, grown as the walker grows them; node whole where
-    it has no extension within max_m."""
+    """The tasks that together take node's subtree: (node, False), its set
+    alone, and (child, True) for each extension, grown as the walker grows
+    it; [(node, True)] where node has no extension within max_m. A task
+    (node, whole) takes node's whole subtree, or its set alone."""
     mask, ext, seen, size, cut, internal = node
     if not ext or size == state["max_m"]:
         return [(node, True)]
