@@ -43,13 +43,9 @@ from .graphs import (
     Graph,
     HammingParams,
     bc_network,
-    components,
-    decode,
     encode,
     format_digits,
     hamming_graph,
-    parse_edge_list,
-    read_edge_list,
     write_edge_list,
 )
 from .oracle import (
@@ -93,9 +89,7 @@ __all__ = [
     "brute_min_boundary",
     "brute_min_boundary_bilateral",
     "brute_min_boundary_connected",
-    "components",
     "conditional_connectivity",
-    "decode",
     "decompose",
     "degree_sum_split",
     "encode",
@@ -108,9 +102,7 @@ __all__ = [
     "min_boundary_ternary",
     "min_edge_boundary",
     "optimal_set",
-    "parse_edge_list",
     "prefix_cut_sweep",
-    "read_edge_list",
     "sublayer_block_boundary",
     "sublayer_families",
     "write_edge_list",

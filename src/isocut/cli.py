@@ -65,7 +65,9 @@ def _emit_rows(rows: Iterable[dict], fmt: str) -> None:
     """Print each row as soon as it is built, so a long `xi --m-range`
     streams in constant memory. rows must not be empty; nothing is printed
     before the first row is built. The JSON text is what
-    json.dumps({"schema_version": ..., "results": rows}, indent=2) gives."""
+    json.dumps({"schema_version": ..., "results": rows}, indent=2) gives. A
+    CSV row is the row's scalar fields in order; list and dict fields have
+    no CSV form and are left out."""
     out = sys.stdout
     for index, row in enumerate(rows):
         if fmt == "json":
@@ -76,10 +78,11 @@ def _emit_rows(rows: Iterable[dict], fmt: str) -> None:
                 out.write(",\n")
             out.write(f"    {body}")
         elif fmt == "csv":
+            cells = {k: v for k, v in row.items() if not isinstance(v, (list, tuple, dict))}
             if index == 0:
-                writer = csv.DictWriter(out, fieldnames=list(row))
+                writer = csv.DictWriter(out, fieldnames=list(cells))
                 writer.writeheader()
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+            writer.writerow(cells)
         else:
             if index == 1:
                 print()  # with several rows, every row ends in a blank line
@@ -89,12 +92,6 @@ def _emit_rows(rows: Iterable[dict], fmt: str) -> None:
                 print()
     if fmt == "json":
         out.write("\n  ]\n}\n")
-
-
-def _csv_cell(value):
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, default=str)
-    return value
 
 
 def _human_cell(value):
@@ -209,23 +206,7 @@ def _run_construct(args) -> int:
     }
     if args.emit_graph:
         row["edge_list"] = [[u, v] for u, v in graph.edges()]
-    if args.format == "csv":
-        flat = {
-            k: row[k]
-            for k in (
-                "L",
-                "n",
-                "m",
-                "set_size",
-                "cut_size",
-                "internal_edges",
-                "side_connected",
-                "complement_connected",
-            )
-        }
-        _emit_rows([flat], "csv")
-    else:
-        _emit_rows([row], args.format)
+    _emit_rows([row], args.format)
     return 0
 
 
@@ -255,11 +236,7 @@ def _run_verify(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
         raise DomainError(f"--threads must be in [1, {cpus}], got {args.threads}")
-    budget = OracleBudget(
-        max_subsets=args.max_subsets,
-        max_vertices=args.max_vertices,
-        parallel_chunks=args.threads,
-    )
+    budget = OracleBudget(max_subsets=args.max_subsets, parallel_chunks=args.threads)
     rows = list(_verify_rows(args.scope, args.full, budget))
     failures = sum(1 for r in rows if r.status == "fail")
     if args.format == "json":
@@ -330,7 +307,9 @@ def _run_graph(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="isocut",
         description="Exact conditional edge-connectivities of Hamming graphs "
@@ -382,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default %(default)s)",
     )
     p.add_argument("--max-subsets", type=int, default=None)
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=OracleBudget().max_vertices,
-        help="the oracle's vertex cap (default %(default)s); not "
-        f"{ENV_VERTEX_CAP}, which caps graph building",
-    )
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_run_verify)
 
@@ -403,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=_run_graph)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and kept for the process."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -253,8 +253,8 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     greatest neighbour (``row[-1]``) in the complement and above itself.
     Both tests are ``map``/``all`` passes over one side's rows, linear in
     the side. A side that fails its test (a tested member with no
-    neighbours fails it) is split by the flag-clearing BFS behind
-    ``graphs.components``, so the report is the same either way. Every
+    neighbours fails it) is split by the flag-clearing BFS
+    ``graphs._flood``, so the report is the same either way. Every
     prefix and suffix of a Hamming graph or BC network passes (see
     ``prefix_cut_sweep``), so their optimal sets are never flooded.
     """

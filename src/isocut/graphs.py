@@ -1,4 +1,5 @@
-"""Graph generators and vertex-string coding for Hamming and BC networks.
+"""Graph generators, vertex-string coding and the edge-list writer for
+Hamming and BC networks.
 
 Vertices are dense integers 0..N-1. A Hamming graph K_L^n has N = L**n
 vertices; vertex ids are read as L-base n-digit strings (most significant
@@ -25,7 +26,7 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapError, DomainError
 
@@ -68,10 +69,6 @@ class HammingParams:
         return (self.arity - 1) * self.dim
 
     @property
-    def edge_count(self) -> int:
-        return self.degree * self.vertex_count // 2
-
-    @property
     def half_size(self) -> int:
         """floor(N/2), the largest size a small side of a cut can have."""
         return self.vertex_count // 2
@@ -90,18 +87,6 @@ def encode(vertex: int, params: HammingParams) -> tuple[int, ...]:
         digits.append(d)
     digits.reverse()
     return tuple(digits)
-
-
-def decode(digits: Sequence[int], params: HammingParams) -> int:
-    """Inverse of encode; validates length and digit range."""
-    if len(digits) != params.dim:
-        raise DomainError(f"expected {params.dim} digits, got {len(digits)}")
-    value = 0
-    for d in digits:
-        if not 0 <= d < params.arity:
-            raise DomainError(f"digit {d} out of range for arity {params.arity}")
-        value = value * params.arity + d
-    return value
 
 
 def format_digits(digits: Sequence[int], arity: int) -> str:
@@ -137,21 +122,6 @@ class Graph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks; the oracle's working representation."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
-
-
-def components(graph: Graph, within: Iterable[int] | None = None) -> list[list[int]]:
-    """Connected components (sorted vertex lists) of the subgraph induced by
-    ``within``, or of the whole graph. Ordered by smallest member.
-
-    Linear in the vertices and adjacency entries visited: see ``_flood``.
-    """
-    if within is None:
-        flags = bytearray(b"\x01") * graph.vertex_count
-    else:
-        flags = bytearray(graph.vertex_count)
-        for v in within:
-            flags[v] = 1
-    return [sorted(part) for part in _flood(graph.adjacency, flags)]
 
 
 def _flood(adjacency: Sequence[Sequence[int]], flags: bytearray) -> Iterator[list[int]]:
@@ -365,60 +335,6 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Parse the text form produced by format_edge_list.
-
-    Header line ``# vertices=N edges=M label=...`` followed by one ``u v``
-    pair per line with u < v, in sorted order. The header's vertex count is
-    checked against ``max_vertices`` before anything is allocated.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise DomainError("missing '# vertices=... edges=... label=...' header")
-    header = lines[0][1:].strip()
-    fields = {}
-    if " label=" in header:
-        head, _, label = header.partition(" label=")
-        fields["label"] = label.strip()
-    else:
-        head = header
-        fields["label"] = "custom"
-    for token in head.split():
-        key, _, value = token.partition("=")
-        if key in ("vertices", "edges"):
-            try:
-                fields[key] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"bad header field {token!r}") from exc
-    if "vertices" not in fields or "edges" not in fields:
-        raise DomainError("header must declare vertices= and edges=")
-    n_vertices = fields["vertices"]
-    if n_vertices < 1:
-        raise DomainError("vertex count must be positive")
-    _check_cap(n_vertices, max_vertices)
-    adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
-    previous = None
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError:
-            raise DomainError(f"bad edge line {ln!r}") from None
-        if not (0 <= u < v < n_vertices):
-            raise DomainError(f"edge ({u}, {v}) out of range or not u < v")
-        if previous is not None and (u, v) <= previous:
-            raise DomainError(f"edges out of order or duplicated at ({u}, {v})")
-        previous = (u, v)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    n_edges = sum(len(nbrs) for nbrs in adjacency) // 2
-    if n_edges != fields["edges"]:
-        raise DomainError(f"header claims {fields['edges']} edges, file has {n_edges}")
-    return Graph(n_vertices, tuple(tuple(sorted(n)) for n in adjacency), label=fields["label"])
-
-
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     Path(path).write_text(format_edge_list(graph))
 
-
-def read_edge_list(path: str | Path, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
-    return parse_edge_list(Path(path).read_text(), max_vertices=max_vertices)

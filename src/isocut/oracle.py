@@ -70,7 +70,9 @@ or idea with the formula side. Working notes on the engines:
   cut and the part counts that reach it. The state counts drop; values,
   witnesses, atom sizes and two-part verdicts do not change. The
   certificate reads only the adjacency, never the label, and is the sole
-  gate: every other graph gets the full enumeration. The pruned scans are
+  gate: every other graph gets the full enumeration. It is computed once
+  per graph: ``Graph`` is frozen and hashable, so an LRU cache of the last
+  64 graphs keeps it across engine calls. The pruned scans are
   a few lopsided tasks, often {0} and the one child {0, 1}, so a parallel
   call splits them further (see the runner).
 * Both enumerators split their work into tasks that go through one runner.
@@ -86,9 +88,9 @@ or idea with the formula side. Working notes on the engines:
   deterministic min-reduction, so parallel results, witnesses and state
   counts match serial ones bit for bit. Every task takes its call's state
   as an argument, so threads mixing serial and parallel calls share
-  nothing but the workers. Task functions and side predicates are
-  module-level and picklable, so workers run under every start method
-  (fork, spawn, forkserver).
+  nothing but the workers and the certificate cache. Task functions and
+  side predicates are module-level and picklable, so workers run under
+  every start method (fork, spawn, forkserver).
 * The runner keeps its worker processes for the next parallel call with
   the same start method and worker count: starting them costs more than a
   small enumeration. A call that raises terminates the workers, since
@@ -108,7 +110,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, product
 from multiprocessing import get_context
 
@@ -177,17 +179,6 @@ class FragmentResult:
     report: CutReport
     subsets_visited: int
     wall_time_s: float
-
-    def to_dict(self) -> dict:
-        out = self.report.to_dict()
-        out.update(
-            optimum=self.optimum,
-            witness=list(self.witness),
-            atom_size=self.atom_size,
-            subsets_visited=self.subsets_visited,
-            wall_time_s=self.wall_time_s,
-        )
-        return out
 
 
 def _bits_tuple(mask: int) -> tuple[int, ...]:
@@ -306,6 +297,7 @@ def _automorphism(perm: tuple[int, ...], adjacency, neighbours: list[set]) -> bo
     )
 
 
+@lru_cache(maxsize=64)
 def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
     """The least vertex of each vertex's orbit under a certified group H of
     automorphisms fixing 0, or None when the graph is not certified

@@ -7,13 +7,34 @@ Pytest puts this directory on sys.path for every test module here, so
 import itertools
 import random
 
-from isocut.graphs import parse_edge_list
+from isocut.graphs import Graph
 
 
 def graph_from_edges(n, edges, label):
-    lines = [f"# vertices={n} edges={len(edges)} label={label}"]
-    lines += [f"{u} {v}" for u, v in sorted(edges)]
-    return parse_edge_list("\n".join(lines) + "\n")
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adjacency), label=label)
+
+
+def set_components(graph, within):
+    """Reference components, each sorted, ordered by least member:
+    repeatedly flood from the least vertex left."""
+    pool = set(within)
+    out = []
+    while pool:
+        root = min(pool)
+        pool.discard(root)
+        comp, stack = [root], [root]
+        while stack:
+            for u in graph.adjacency[stack.pop()]:
+                if u in pool:
+                    pool.discard(u)
+                    comp.append(u)
+                    stack.append(u)
+        out.append(sorted(comp))
+    return out
 
 
 def relabelled(graph, seed):

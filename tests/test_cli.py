@@ -232,6 +232,39 @@ class TestConstruct:
         assert err.startswith("error:") and name in err
 
 
+class TestCsvBytes:
+    # a CSV row is the row's scalar fields in order, and the csv module ends
+    # every line with \r\n
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (
+                ("construct", "--L", "2", "--n", "3", "--m", "3"),
+                "L,n,m,set_size,cut_size,internal_edges,side_connected,complement_connected\r\n"
+                "2,3,3,3,5,2,True,True\r\n",
+            ),
+            (
+                ("construct", "--L", "2", "--n", "3", "--m", "3", "--emit-graph"),
+                "L,n,m,set_size,cut_size,internal_edges,side_connected,complement_connected\r\n"
+                "2,3,3,3,5,2,True,True\r\n",
+            ),
+            (
+                ("xi", "--L", "2", "--n", "4", "--m-range", "1..3"),
+                "L,n,m,decomposition,max_degree_sum,min_edge_boundary\r\n"
+                "2,4,1,1,0,4\r\n2,4,2,2^1,2,6\r\n2,4,3,2^1 + 1,4,8\r\n",
+            ),
+            (
+                ("lambda", "--L", "2", "--n", "4", "--kind", "cyclic"),
+                "kind,L,n,min_fragment_size,value,block_g,block_t\r\ncyclic,2,4,4,8,1,2\r\n",
+            ),
+        ],
+        ids=["construct", "construct-emit-graph", "xi-range", "lambda"],
+    )
+    def test_exact_stdout(self, capsys, argv, want):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out, err) == (0, want, "")
+
+
 class TestVerify:
     def test_tables_scope_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "tables")
@@ -314,16 +347,24 @@ class TestVerify:
         assert code == 3
         assert "budget exceeded" in err
 
+    def test_max_vertices_flag_gone(self, capsys):
+        # the oracle's vertex cap stays at its default, above every graph verify builds
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scope", "lemmas", "--max-vertices", "32"])
+        assert exc.value.code == 2
+
 
 class TestGraph:
     def test_hamming_out(self, capsys, tmp_path):
-        path = tmp_path / "k32.txt"
+        path = tmp_path / "k22.txt"
         code, out, _ = run(
-            capsys, "graph", "--hamming", "--L", "3", "--n", "2", "--out", str(path)
+            capsys, "graph", "--hamming", "--L", "2", "--n", "2", "--out", str(path)
         )
         assert code == 0
-        assert path.exists()
-        assert "9 vertices" in out
+        assert path.read_text() == (
+            "# vertices=4 edges=4 label=hamming(2,2)\n0 1\n0 2\n1 3\n2 3\n"
+        )
+        assert out == f"wrote {path}: hamming(2,2), 4 vertices, 4 edges\n"
 
     def test_bc_out(self, capsys, tmp_path):
         path = tmp_path / "b4.txt"
@@ -451,7 +492,6 @@ VERIFY = joined(
     ),
     # 10**30 must be rejected before the oracle would start that many workers
     option("--threads", ints(-2, 1, big=st.sampled_from([-(10**30), 10**30]))),
-    option("--max-vertices", SMALL_CAP),
     FORMAT,
 )
 GRAPH = joined(

@@ -1,4 +1,4 @@
-"""Graph construction, vertex codecs, and edge-list serialization."""
+"""Graph construction, vertex codecs, and components."""
 
 import itertools
 import random
@@ -6,22 +6,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import set_components
 from isocut.errors import CapError, DomainError
 from isocut.graphs import (
     MATCHING_POLICIES,
     Graph,
     HammingParams,
+    _flood,
     _picker,
     bc_network,
-    components,
-    decode,
     encode,
     format_digits,
-    format_edge_list,
     hamming_graph,
-    parse_edge_list,
-    read_edge_list,
-    write_edge_list,
 )
 
 
@@ -73,22 +69,15 @@ def doubling_bc(dim, matching_policy="identity", seed=0):
     return Graph(len(adjacency), tuple(tuple(sorted(n)) for n in adjacency), label=label)
 
 
-def set_components(graph, within):
-    """Reference components: repeatedly flood from the least vertex left."""
-    pool = set(within)
-    out = []
-    while pool:
-        root = min(pool)
-        pool.discard(root)
-        comp, stack = [root], [root]
-        while stack:
-            for u in graph.adjacency[stack.pop()]:
-                if u in pool:
-                    pool.discard(u)
-                    comp.append(u)
-                    stack.append(u)
-        out.append(sorted(comp))
-    return out
+def flood(graph, within):
+    """``_flood``'s parts of ``within``, each sorted; checks that it clears
+    every flag."""
+    flags = bytearray(graph.vertex_count)
+    for v in within:
+        flags[v] = 1
+    parts = [sorted(part) for part in _flood(graph.adjacency, flags)]
+    assert not any(flags)
+    return parts
 
 
 # Every K_L^n with at most 2*10^4 vertices and 4*10^5 adjacency entries,
@@ -127,7 +116,6 @@ class TestHammingParams:
         p = HammingParams(3, 4)
         assert p.vertex_count == 81
         assert p.degree == 8
-        assert p.edge_count == 81 * 8 // 2
         assert p.half_size == 40
 
     def test_half_size_rounds_down(self):
@@ -167,7 +155,10 @@ class TestCodec:
         digits = encode(v, p)
         assert len(digits) == dim
         assert all(0 <= d < arity for d in digits)
-        assert decode(digits, p) == v
+        value = 0
+        for d in digits:
+            value = value * arity + d
+        assert value == v
 
     def test_encode_is_big_endian(self):
         p = HammingParams(10, 3)
@@ -269,7 +260,7 @@ class TestBCNetwork:
             g = bc_network(dim, policy, seed=5)
             assert g.vertex_count == 2**dim
             assert all(g.degree(v) == dim for v in range(g.vertex_count))
-            assert len(components(g)) == 1
+            assert set_components(g, range(g.vertex_count)) == [list(range(g.vertex_count))]
 
     def test_seed_determinism(self):
         a = bc_network(4, "seeded_random", seed=11)
@@ -294,24 +285,24 @@ class TestBCNetwork:
 class TestComponents:
     def test_whole_graph(self):
         g = hamming_graph(HammingParams(2, 3))
-        assert components(g) == [list(range(8))]
+        assert flood(g, range(8)) == set_components(g, range(8)) == [list(range(8))]
 
     def test_induced_subset(self):
         g = hamming_graph(HammingParams(2, 3))
         # 0=000 and 3=011 are at distance two, so they sit in separate parts
-        assert components(g, within=[0, 3]) == [[0], [3]]
-        assert components(g, within=[0, 1, 3]) == [[0, 1, 3]]
+        assert flood(g, [0, 3]) == set_components(g, [0, 3]) == [[0], [3]]
+        assert flood(g, [0, 1, 3]) == set_components(g, [0, 1, 3]) == [[0, 1, 3]]
 
     def test_empty_graph_not_connected(self):
         g = Graph(vertex_count=0, adjacency=())
-        assert components(g) == []
+        assert flood(g, []) == set_components(g, []) == []
 
     def test_many_parts_match_set_reference(self):
         g = hamming_graph(HammingParams(2, 10))
         # even-weight vertices are independent; vertex 1 then joins nine of them
         independent = [v for v in range(1, 1024) if bin(v).count("1") % 2 == 0]
         for within, count in ((independent, 511), (independent + [1], 503)):
-            parts = components(g, within)
+            parts = flood(g, within)
             assert parts == set_components(g, within)
             assert len(parts) == count
 
@@ -321,41 +312,4 @@ class TestComponents:
             n = g.vertex_count
             for _ in range(40):
                 within = [rng.randrange(n) for _ in range(rng.randrange(1, 2 * n))]
-                assert components(g, within) == set_components(g, within)
-
-
-class TestEdgeListIO:
-    def test_roundtrip_text(self):
-        g = bc_network(3, "seeded_random", seed=9)
-        back = parse_edge_list(format_edge_list(g))
-        assert back.adjacency == g.adjacency
-        assert back.vertex_count == g.vertex_count
-        assert back.label == g.label
-
-    def test_roundtrip_file(self, tmp_path):
-        g = hamming_graph(HammingParams(3, 2))
-        path = tmp_path / "k32.txt"
-        write_edge_list(g, path)
-        back = read_edge_list(path)
-        assert back.adjacency == g.adjacency
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            parse_edge_list("# vertices=4 edges=1 label=x\n0 0\n")
-        with pytest.raises(DomainError):
-            parse_edge_list("# vertices=2 edges=1 label=x\n0 5\n")
-        with pytest.raises(DomainError, match="bad edge line"):
-            parse_edge_list("# vertices=2 edges=1\n0 x\n")
-
-    def test_vertex_cap(self, tmp_path):
-        text = "# vertices=1000001 edges=0 label=x\n"
-        with pytest.raises(CapError):
-            parse_edge_list(text)
-        with pytest.raises(CapError):
-            parse_edge_list("# vertices=11 edges=0 label=x\n", max_vertices=10)
-        at_cap = parse_edge_list("# vertices=10 edges=0 label=x\n", max_vertices=10)
-        assert at_cap.vertex_count == 10
-        path = tmp_path / "big.txt"
-        path.write_text(text)
-        with pytest.raises(CapError):
-            read_edge_list(path)
+                assert flood(g, within) == set_components(g, within)

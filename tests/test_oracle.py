@@ -33,7 +33,7 @@ from isocut.errors import (
     SubsetBudgetError,
     UnsupportedError,
 )
-from isocut.graphs import HammingParams, bc_network, components, hamming_graph
+from isocut.graphs import HammingParams, bc_network, hamming_graph
 from isocut.oracle import (
     OracleBudget,
     bipartite_property_check,
@@ -45,7 +45,7 @@ from isocut.oracle import (
     brute_min_boundary_connected,
 )
 
-from helpers import graph_from_edges, pocket_graph, relabelled
+from helpers import graph_from_edges, pocket_graph, relabelled, set_components
 
 
 def reference_profile(graph, max_m, mode):
@@ -57,11 +57,11 @@ def reference_profile(graph, max_m, mode):
         for combo in itertools.combinations(range(n), m):
             inside = set(combo)
             if mode in ("connected", "bilateral"):
-                if len(components(graph, combo)) != 1:
+                if len(set_components(graph, combo)) != 1:
                     continue
             if mode == "bilateral":
                 rest = [v for v in range(n) if v not in inside]
-                if len(components(graph, rest)) != 1:
+                if len(set_components(graph, rest)) != 1:
                     continue
             cut = sum(
                 1 for v in combo for w in graph.adjacency[v] if w not in inside
@@ -210,12 +210,6 @@ class TestWrapperFunctions:
         assert brute_min_boundary(graph, 6).optimum == 2
         assert brute_min_boundary_connected(graph, 6).optimum == 3
         assert brute_min_boundary_bilateral(graph, 6).optimum > 3
-
-    def test_to_dict(self):
-        graph = hamming_graph(HammingParams(2, 2))
-        d = brute_min_boundary(graph, 2).to_dict()
-        for key in ("optimum", "witness", "atom_size", "cut_size", "subsets_visited"):
-            assert key in d
 
     def test_m_domain(self):
         graph = hamming_graph(HammingParams(2, 3))
@@ -754,6 +748,14 @@ def cayley_z3_squared():
     return graph_from_edges(9, edges, "cayley-z3^2")
 
 
+@pytest.fixture
+def certificates_cleared():
+    """Clears the certificate cache when the test ends, so that no later
+    test reads a certificate computed under this test's patches."""
+    yield
+    oracle._orbit_minima.cache_clear()
+
+
 class TestCertificate:
     def test_hamming_up_to_32_vertices(self):
         for arity in range(2, 33):
@@ -798,7 +800,7 @@ class TestCertificate:
         assert tasks == [(1, False)] + [(1 | 1 << w, True) for w in graph.adjacency[0]]
         assert brute_min_boundary_connected(graph, 4).witness == (0, 3, 13, 14)
 
-    def test_translations_without_stabiliser(self, monkeypatch):
+    def test_translations_without_stabiliser(self, monkeypatch, certificates_cleared):
         graph = cayley_z3_squared()
         assert_translations_reach_zero(graph, 3, 2)
         neighbours = [set(nbrs) for nbrs in graph.adjacency]
@@ -808,7 +810,17 @@ class TestCertificate:
         assert oracle._orbit_minima(graph) == tuple(range(9))
         pruned = oracle_outcomes(graph, None, 4)
         monkeypatch.setattr(oracle, "_stabiliser_moves", lambda arity, dim: [])
+        oracle._orbit_minima.cache_clear()
         assert pruned == oracle_outcomes(graph, None, 4)  # states too
+
+    def test_computed_once_per_check(self):
+        # brute_conditional and the partition scan both read the certificate
+        graph = graph_from_edges(9, list(hamming_graph(HammingParams(3, 2)).edges()), "fresh")
+        before = oracle._orbit_minima.cache_info()
+        bipartite_property_check(graph, ConditionKind("extra", 2))
+        after = oracle._orbit_minima.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
 
 
 def condition_grid(graph, params):
@@ -880,11 +892,14 @@ def oracle_outcomes(graph, params, max_m):
 
 def three_levels(monkeypatch, run):
     """run() with root 0 and the stabiliser of 0, with root 0 alone, and
-    with the full enumeration."""
+    with the full enumeration. The certificate cache is cleared after each
+    patch, so that the patched level really runs."""
     pruned = run()
     monkeypatch.setattr(oracle, "_stabiliser_moves", lambda arity, dim: [])
+    oracle._orbit_minima.cache_clear()
     root_zero = run()
     monkeypatch.setattr(oracle, "_base_reading", lambda graph: None)
+    oracle._orbit_minima.cache_clear()
     return pruned, root_zero, run()
 
 
@@ -902,7 +917,7 @@ class TestRootZeroReduction:
     @pytest.mark.parametrize(
         "make,params", [g[1:] for g in REDUCTION_GRAPHS], ids=[g[0] for g in REDUCTION_GRAPHS]
     )
-    def test_only_the_work_changes(self, monkeypatch, make, params):
+    def test_only_the_work_changes(self, monkeypatch, certificates_cleared, make, params):
         graph = make()
         orbit = oracle._orbit_minima(graph)
         pruned, root_zero, full = three_levels(
@@ -927,7 +942,7 @@ class TestRootZeroReduction:
             assert all(p <= r for p, r in pruned_parts)
 
     @pytest.mark.parametrize("arity,dim,max_m", [(3, 3, 5), (5, 2, 6)])
-    def test_profiles_unchanged(self, monkeypatch, arity, dim, max_m):
+    def test_profiles_unchanged(self, monkeypatch, certificates_cleared, arity, dim, max_m):
         graph = hamming_graph(HammingParams(arity, dim))
         modes = ("any", "connected", "bilateral")
         pruned, root_zero, full = three_levels(
@@ -960,7 +975,7 @@ def set_partitions(n):
 def reference_part_ok(graph, cond, params, block):
     """Whether one part qualifies, from sets and the definitions alone."""
     inside = set(block)
-    if cond.kind != "isoperimetric" and len(components(graph, block)) != 1:
+    if cond.kind != "isoperimetric" and len(set_components(graph, block)) != 1:
         return False
     degrees = [sum(w in inside for w in graph.adjacency[v]) for v in block]
     internal = sum(degrees) // 2
