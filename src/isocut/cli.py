@@ -47,20 +47,6 @@ from .oracle import OracleBudget
 
 SCHEMA_VERSION = 1
 
-ENV_VERTEX_CAP = "ISOCUT_VERTEX_CAP"
-ENV_MAX_SUBSETS = "ISOCUT_MAX_SUBSETS"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise IsocutError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _emit_rows(rows: Iterable[dict], fmt: str) -> None:
     """Print each row as soon as it is built, so a long `xi --m-range`
     streams in constant memory. rows must not be empty; nothing is printed
@@ -183,11 +169,10 @@ def _run_lambda(args) -> int:
 
 def _run_construct(args) -> int:
     params = HammingParams(args.L, args.n)
-    cap = args.max_vertices
     vertices = sorted(optimal_set(args.m, params))
     families = sublayer_families(args.m, params)
     census = family_census(families, params)
-    graph = hamming_graph(params, max_vertices=cap)
+    graph = hamming_graph(params, max_vertices=args.max_vertices)
     report = evaluate_cut(graph, vertices)
     row = {
         "L": params.arity,
@@ -346,7 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--emit-graph", action="store_true")
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     add_format(p)
     p.set_defaults(func=_run_construct)
 
@@ -360,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
         help="oracle processes, this one included, at most the CPU count "
         "(default %(default)s)",
     )
-    p.add_argument("--max-subsets", type=int, default=None)
+    p.add_argument("--max-subsets", type=int, default=OracleBudget().max_subsets)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_run_verify)
 
@@ -372,22 +357,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=MATCHING_POLICIES, default="identity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     p.set_defaults(func=_run_graph)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        # read on every call, so a bad value is an error for every subcommand
-        env_caps = {
-            "max_vertices": _env_int(ENV_VERTEX_CAP, DEFAULT_VERTEX_CAP),
-            "max_subsets": _env_int(ENV_MAX_SUBSETS, OracleBudget().max_subsets),
-        }
         args = _parser().parse_args(argv)
-        for name, value in env_caps.items():
-            if getattr(args, name, value) is None:
-                setattr(args, name, value)
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -19,8 +19,10 @@ an extreme one has a neighbour in the side that is nearer that extreme:
 ``evaluate_cut`` reads it off each member's least or greatest neighbour, and
 ``prefix_cut_sweep`` off the neighbour counts below and above each vertex.
 Every prefix and suffix of a Hamming graph or BC network passes, so the
-optimal sets and their complements are certified without a flood; other
-sides go to a BFS (``evaluate_cut``) or a union-find (``prefix_cut_sweep``).
+optimal sets and their complements are certified without a flood. Every
+other side goes to one BFS, ``_flood``: ``evaluate_cut`` floods the sides
+that fail its certificate, and ``prefix_cut_sweep`` hands each prefix size
+its certificate cannot settle to ``evaluate_cut``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
 from operator import getitem, gt, itemgetter, lt, ne, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .graphs import Graph, HammingParams, _flood, format_digits
+from .graphs import Graph, HammingParams, format_digits
 
 __all__ = [
     "SubLayer",
@@ -253,10 +255,10 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     greatest neighbour (``row[-1]``) in the complement and above itself.
     Both tests are ``map``/``all`` passes over one side's rows, linear in
     the side. A side that fails its test (a tested member with no
-    neighbours fails it) is split by the flag-clearing BFS
-    ``graphs._flood``, so the report is the same either way. Every
-    prefix and suffix of a Hamming graph or BC network passes (see
-    ``prefix_cut_sweep``), so their optimal sets are never flooded.
+    neighbours fails it) is split by the flag-clearing BFS ``_flood``, so
+    the report is the same either way. Every prefix and suffix of a Hamming
+    graph or BC network passes (see ``prefix_cut_sweep``), so their optimal
+    sets are never flooded.
     """
     members = list(vertex_set)
     if not members:
@@ -295,6 +297,29 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     )
 
 
+def _flood(adjacency: Sequence[Sequence[int]], flags: bytearray) -> Iterator[list[int]]:
+    """Components of the vertices whose flag is set, by least member; clears
+    the flags.
+
+    Roots are read in ascending order straight off the flags, so each part
+    starts at its least member and no pool is searched for a minimum. Each
+    part grows one BFS level at a time: the level's adjacency entries are
+    gathered into a set in C, so Python tests each reached vertex once, not
+    each entry. A part is returned unsorted.
+    """
+    for root in compress(range(len(flags)), flags):
+        flags[root] = 0
+        part = [root]
+        level = part
+        while level:
+            reached = set(chain.from_iterable(map(adjacency.__getitem__, level)))
+            level = [u for u in reached if flags[u]]
+            for u in level:
+                flags[u] = 0
+            part += level
+        yield part
+
+
 def _chained(flags: bytearray, members: list[int], rows: Iterable, end, toward) -> bool:
     """Whether each of ``members`` has its ``end`` neighbour in its row
     flagged and ``toward(neighbour, member)``; False for an empty row."""
@@ -313,32 +338,6 @@ class SweepRow(NamedTuple):
     complement_connected: bool
 
 
-class _UnionFind:
-    __slots__ = ("parent", "groups")
-
-    def __init__(self, n: int, root: int) -> None:
-        """One group, rooted at ``root``, holding every vertex not yet added."""
-        self.parent = [root] * n
-        self.groups = 1
-
-    def add(self, v: int) -> None:
-        self.parent[v] = v
-        self.groups += 1
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.groups -= 1
-
-
 def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow]:
     """Cut census of every prefix {0..m-1} for m = 1..max_size in O(E) total.
 
@@ -348,17 +347,18 @@ def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow
 
     Connectivity uses a certificate first. A prefix is connected while every
     v > 0 in it has a smaller neighbour, and a suffix {m..N-1} while every
-    v < N-1 in it has a larger one. The forward union-find starts only at the
-    first v > 0 with no smaller neighbour, seeded with the connected prefix
-    before it as one group; the backward one starts only at the last
-    v < N-1 with no larger neighbour, seeded with the suffix after it.
+    v < N-1 in it has a larger one. Let ``first`` be the least v > 0 with no
+    smaller neighbour and ``last`` the greatest v < N-1 with no larger one.
+    Size m is settled by the certificate unless m > ``first`` or
+    m <= ``last``; each such size takes both flags from
+    ``evaluate_cut(graph, range(m))`` at O(N + E) apiece.
 
     Hamming graphs pass both: v > 0 reaches a smaller vertex by zeroing a
     nonzero digit, and v < N-1 a larger one by raising a digit below
     arity-1. So do BC networks, by induction on the level: each half is a
     smaller BC network, and the matching joins the upper half's least vertex
     to a smaller one and the lower half's greatest to a larger one. There
-    the union-finds never run; edge-list and relabelled graphs may need them.
+    every size is settled and ``evaluate_cut`` never runs.
     """
     n = graph.vertex_count
     if max_size is None:
@@ -371,27 +371,20 @@ def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow
     internals = list(accumulate(earlier[:max_size]))
     cuts = list(accumulate(map(sub, later[:max_size], earlier)))
 
-    start = _index(earlier, 0, 1, max_size)
-    set_connected = [True] * start
-    forward = _UnionFind(n, 0)
-    for v in range(start, max_size):
-        forward.add(v)
-        for u in adjacency[v][: earlier[v]]:
-            forward.union(u, v)
-        set_connected.append(forward.groups == 1)
-
-    # suffix_connected[m] tells whether {m..N-1} is connected, for m >= 1
-    stop = n - 1 - _index(later[::-1], 0, 1, n - 1)
-    suffix_connected = [True] * (n + 1)
-    backward = _UnionFind(n, n - 1)
-    for v in range(stop, 0, -1):
-        backward.add(v)
-        for u in adjacency[v][earlier[v] :]:
-            backward.union(u, v)
-        suffix_connected[v] = backward.groups == 1
+    set_connected = [True] * max_size
+    suffix_connected = [True] * max_size
+    first = _index(earlier, 0, 1, max_size)
+    last = n - 1 - _index(later[::-1], 0, 1, n - 1)
+    unsettled = chain(
+        range(1, min(last, max_size) + 1), range(max(first, last) + 1, max_size + 1)
+    )
+    for m in unsettled:
+        report = evaluate_cut(graph, range(m))
+        set_connected[m - 1] = report.side_connected
+        suffix_connected[m - 1] = report.complement_connected
 
     # tuple.__new__ builds each row in C, skipping the NamedTuple's Python __new__
-    columns = zip(range(1, max_size + 1), cuts, internals, set_connected, suffix_connected[1:])
+    columns = zip(range(1, max_size + 1), cuts, internals, set_connected, suffix_connected)
     return list(map(partial(tuple.__new__, SweepRow), columns))
 
 

@@ -15,6 +15,9 @@ Both builders split the id's digits (or bits) into a high and a low part
 and write each sorted row straight from pickers (``itemgetter`` objects or
 slices) built once per part, so the per-entry work runs in C and every
 entry is the one int object of a shared ``list(range(N))``.
+
+This module only builds, codes and writes graphs; the connectivity of
+vertex sets is settled in ``construct``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -122,29 +125,6 @@ class Graph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks; the oracle's working representation."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
-
-
-def _flood(adjacency: Sequence[Sequence[int]], flags: bytearray) -> Iterator[list[int]]:
-    """Components of the vertices whose flag is set, by least member; clears
-    the flags.
-
-    Roots are read in ascending order straight off the flags, so each part
-    starts at its least member and no pool is searched for a minimum. Each
-    part grows one BFS level at a time: the level's adjacency entries are
-    gathered into a set in C, so Python tests each reached vertex once, not
-    each entry. A part is returned unsorted.
-    """
-    for root in compress(range(len(flags)), flags):
-        flags[root] = 0
-        part = [root]
-        level = part
-        while level:
-            reached = set(chain.from_iterable(map(adjacency.__getitem__, level)))
-            level = [u for u in reached if flags[u]]
-            for u in level:
-                flags[u] = 0
-            part += level
-        yield part
 
 
 def _check_cap(n_vertices: int, max_vertices: int) -> None:
@@ -329,12 +309,7 @@ def _bc_rows(patterns: list[list[int]], ids: list[int]) -> list[tuple[int, ...]]
 
 # --- edge-list text format ---------------------------------------------------
 
-def format_edge_list(graph: Graph) -> str:
+def write_edge_list(graph: Graph, path: str | Path) -> None:
     lines = [f"# vertices={graph.vertex_count} edges={graph.edge_count} label={graph.label}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
-
-
-def write_edge_list(graph: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(graph))
-
+    Path(path).write_text("\n".join(lines) + "\n")

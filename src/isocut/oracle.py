@@ -320,7 +320,8 @@ def _orbit_minima(graph: Graph) -> tuple[int, ...] | None:
     neighbours = [set(nbrs) for nbrs in adjacency]
     if not all(_automorphism(step, adjacency, neighbours) for step in _digit_steps(*reading)):
         return None
-    least = list(range(graph.vertex_count))  # union-find; each root is its class's least
+    # a disjoint-set forest of the orbits; each root is its class's least member
+    least = list(range(graph.vertex_count))
 
     def find(v: int) -> int:
         while least[v] != v:

@@ -6,7 +6,6 @@ value that the failing rows report.
 """
 
 import dataclasses
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,11 +20,10 @@ GOLDEN_FAST = Path(__file__).parent / "data" / "verify_fast.json"
 
 
 def test_default_verify_json_is_byte_identical_to_golden():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ISOCUT_")}
     proc = subprocess.run(
         [sys.executable, "-m", "isocut.cli", "verify", "--format", "json",
          "--threads", "1"],
-        capture_output=True, env=env,
+        capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GOLDEN_FAST.read_bytes()

@@ -41,8 +41,9 @@ def random_graph_with_late_isolated_vertex(seed):
     return graph_from_edges(26, [(u, v) for u, v in edges if 20 not in (u, v)], "random")
 
 
-# graphs whose prefixes or suffixes fail the certificate, so the union-finds run
-UNION_FIND_GRAPHS = [
+# graphs whose prefixes or suffixes fail the certificate, so the sweep falls
+# back to evaluate_cut
+UNCERTIFIED_GRAPHS = [
     relabelled(hamming_graph(HammingParams(3, 2)), seed=1),
     relabelled(hamming_graph(HammingParams(2, 4)), seed=2),
     pocket_graph(),
@@ -381,7 +382,7 @@ class TestEvaluateCut:
 
     def test_matches_frozenset_reference(self):
         rng = random.Random(6)
-        for g in [*UNION_FIND_GRAPHS, *CERTIFIED_GRAPHS]:
+        for g in [*UNCERTIFIED_GRAPHS, *CERTIFIED_GRAPHS]:
             n = g.vertex_count
             for _ in range(30):
                 # repeated ids included; sets covering every vertex are skipped
@@ -443,7 +444,7 @@ class TestPrefixSweep:
         rows = prefix_cut_sweep(g)
         assert [(r.size, r.cut_size) for r in rows] == [(1, 6), (2, 10), (3, 12)]
 
-    @pytest.mark.parametrize("graph", UNION_FIND_GRAPHS + CERTIFIED_GRAPHS, ids=lambda g: g.label)
+    @pytest.mark.parametrize("graph", UNCERTIFIED_GRAPHS + CERTIFIED_GRAPHS, ids=lambda g: g.label)
     def test_matches_per_prefix_reference(self, graph):
         n = graph.vertex_count
         for max_size in (None, n - 1, n // 3):
@@ -452,18 +453,23 @@ class TestPrefixSweep:
             assert [tuple(r) for r in rows] == want
             assert all(type(r) is construct.SweepRow for r in rows)
 
-    def test_union_find_runs_only_past_the_certificate(self, monkeypatch):
-        unions = []
-        real_union = construct._UnionFind.union
+    def test_evaluate_cut_runs_only_where_the_certificate_fails(self, monkeypatch):
+        calls = []
+        real = construct.evaluate_cut
         monkeypatch.setattr(
-            construct._UnionFind,
-            "union",
-            lambda self, a, b: unions.append((a, b)) or real_union(self, a, b),
+            construct, "evaluate_cut", lambda g, vs: calls.append(vs) or real(g, vs)
         )
         for graph in CERTIFIED_GRAPHS:
             prefix_cut_sweep(graph, graph.vertex_count - 1)
-        assert unions == []
-        for graph in UNION_FIND_GRAPHS:
-            prefix_cut_sweep(graph, graph.vertex_count - 1)
-            assert unions, graph.label
-            unions.clear()
+        assert calls == []
+        for graph in UNCERTIFIED_GRAPHS:
+            n, adjacency = graph.vertex_count, graph.adjacency
+            no_smaller = [v for v in range(1, n - 1) if min(adjacency[v], default=n) > v]
+            no_larger = [v for v in range(1, n - 1) if max(adjacency[v], default=-1) < v]
+            want = [
+                range(m) for m in range(1, n)
+                if any(v < m for v in no_smaller) or any(v >= m for v in no_larger)
+            ]
+            prefix_cut_sweep(graph, n - 1)
+            assert want and calls == want, graph.label
+            calls.clear()

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import set_components
+from isocut.construct import _flood
 from isocut.errors import CapError, DomainError
 from isocut.graphs import (
     MATCHING_POLICIES,
     Graph,
     HammingParams,
-    _flood,
     _picker,
     bc_network,
     encode,
