@@ -11,10 +11,10 @@ matching. So the level-k matching joins the two halves of every block of
 levels where the vertex has a 1 bit, highest level first, then those where
 it has a 0 bit, lowest level first.
 
-Both builders split the id's digits (or bits) into a high and a low part
-and write each sorted row straight from pickers (``itemgetter`` objects or
-slices) built once per part, so the per-entry work runs in C and every
-entry is the one int object of a shared ``list(range(N))``.
+Both builders split the id's digits (or bits) into a high part h and a
+low part, so the ids of one h form a block, and write each block's sorted
+rows with one C-level ``zip`` (``_block_rows``). Every entry is the one
+int object of a shared ``list(range(N))``.
 
 This module only builds, codes and writes graphs; the connectivity of
 vertex sets is settled in ``construct``.
@@ -23,13 +23,12 @@ vertex sets is settled in ``construct``.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, DomainError
 
@@ -41,6 +40,13 @@ DEFAULT_VERTEX_CAP = 10**6
 MATCHING_POLICIES = ("identity", "reversal", "seeded_random")
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as an exact int; DomainError for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return index(value)
+
+
 @dataclass(frozen=True)
 class HammingParams:
     """The pair (arity, dim) identifying the Hamming graph K_arity^dim."""
@@ -49,6 +55,9 @@ class HammingParams:
     dim: int
 
     def __post_init__(self) -> None:
+        if type(self.arity) is not int or type(self.dim) is not int:
+            object.__setattr__(self, "arity", _integer(self.arity, "arity"))
+            object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.arity < 2:
             raise DomainError(f"arity must be >= 2, got {self.arity}")
         if self.dim < 1:
@@ -82,6 +91,7 @@ class HammingParams:
 
 def encode(vertex: int, params: HammingParams) -> tuple[int, ...]:
     """Digits of a vertex id, most significant first."""
+    vertex = _integer(vertex, "vertex")
     if not 0 <= vertex < params.vertex_count:
         raise DomainError(f"vertex {vertex} out of range for {params}")
     digits = []
@@ -94,6 +104,8 @@ def encode(vertex: int, params: HammingParams) -> tuple[int, ...]:
 
 def format_digits(digits: Sequence[int], arity: int) -> str:
     """Compact string form: '0021' when digits fit one character each."""
+    if not all(0 <= _integer(d, "digit") < arity for d in digits):
+        raise DomainError(f"digits {tuple(digits)} out of range for arity {arity}")
     if arity <= 10:
         return "".join(str(d) for d in digits)
     return ".".join(str(d) for d in digits)
@@ -140,9 +152,9 @@ def hamming_graph(params: HammingParams, max_vertices: int = DEFAULT_VERTEX_CAP)
 
     Vertex u is adjacent to u + (e - d) * arity**p for every digit position p
     (current digit d) and every other digit value e. Rows come out sorted
-    with no sort: see ``_hamming_rows``. Every entry is taken from one shared
-    ``ids = list(range(N))``, so all rows hold a single int object per
-    vertex.
+    with no sort, one block of ids per ``zip``: see ``_hamming_rows``. Every
+    entry is taken from one shared ``ids = list(range(N))``, so all rows
+    hold a single int object per vertex.
     """
     n_vertices = params.vertex_count
     _check_cap(n_vertices, max_vertices)
@@ -162,47 +174,41 @@ def _hamming_rows(arity: int, dim: int, ids: list[int]) -> list[tuple[int, ...]]
     of v is
 
         [u*size + r for neighbours u < h of h in K_arity^(dim-low)]
-      + [h*size + w for neighbours w < r of r in K_arity^low]
-      + [h*size + w for neighbours w > r of r]
+      + [h*size + w for neighbours w of r in K_arity^low]
       + [u*size + r for neighbours u > h of h],
 
-    each piece sorted. The outer pieces pick from the column
-    ``ids[r::size]``, the inner ones from the block
-    ``ids[h*size:(h+1)*size]``, through pickers built once from the two
-    smaller graphs' rows, so the per-entry work runs in C. For dim 1 (the
-    clique K_arity) each row is two slices of ``ids``.
+    each piece sorted, so ``_block_rows`` writes block h with the id blocks
+    ``ids[u*size:(u+1)*size]`` of h's neighbours u as the outer columns.
+    For dim 1 (the clique K_arity) each row is two slices of ``ids``.
     """
     if dim == 1:
         return [(*ids[:v], *ids[v + 1 : arity]) for v in range(arity)]
     low = dim // 2
     size = arity**low
-    inner = [_split_pickers(row, r) for r, row in enumerate(_hamming_rows(arity, low, ids))]
-    columns = [ids[r::size] for r in range(size)]
+    blocks = [ids[u * size : (u + 1) * size] for u in range(arity ** (dim - low))]
+    sides = (
+        ([blocks[u] for u in row if u < h], [blocks[u] for u in row if u > h])
+        for h, row in enumerate(_hamming_rows(arity, dim - low, ids))
+    )
+    return _block_rows(_hamming_rows(arity, low, ids), ids, sides)
+
+
+def _block_rows(small_rows: list[tuple], ids: list[int], sides: Iterable) -> list[tuple]:
+    """Sorted rows of the graph in which v = h*size + r, ``size =
+    len(small_rows)``, has the entries at r of its ``below`` columns, then
+    ``h*size + w`` for w in ``small_rows[r]``, then the entries at r of its
+    ``above`` columns; ``sides`` yields one (below, above) pair of size-long
+    columns per block h, in order. One ``itemgetter`` per position of the
+    small rows, built once, takes that position for every r of a block, so
+    a block's rows are one ``zip`` and the per-entry work runs in C.
+    """
+    size = len(small_rows)
+    middle = [itemgetter(*column) for column in zip(*small_rows)]
     rows = []
-    for h, row in enumerate(_hamming_rows(arity, dim - low, ids)):
-        below, above = _split_pickers(row, h)
+    for h, (below, above) in enumerate(sides):
         block = ids[h * size : (h + 1) * size]
-        rows += [
-            (*below(column), *lower(block), *upper(block), *above(column))
-            for column, (lower, upper) in zip(columns, inner)
-        ]
+        rows += zip(*below, *[column(block) for column in middle], *above)
     return rows
-
-
-def _split_pickers(row: Sequence[int], v: int) -> tuple[Callable, Callable]:
-    """Pickers for the entries of the sorted ``row`` below and above ``v``."""
-    cut = bisect_left(row, v)
-    return _picker(row[:cut]), _picker(row[cut:])
-
-
-def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """seq -> the items of seq at the ``positions``, sorted ascending or
-    descending, in that order, as one sequence; a slice when they ascend
-    contiguously."""
-    if len(positions) > 1 and positions[-1] - positions[0] != len(positions) - 1:
-        return itemgetter(*positions)
-    first = positions[0] if positions else 0
-    return itemgetter(slice(first, first + len(positions)))
 
 
 def bc_network(
@@ -229,6 +235,7 @@ def bc_network(
     from one shared ``ids = list(range(N))``, so all rows hold a single int
     object per vertex.
     """
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
     if dim >= 64:
@@ -272,14 +279,11 @@ def _bc_rows(patterns: list[list[int]], ids: list[int]) -> list[tuple[int, ...]]
     Split the levels at ``low = dim // 2``, so v = h*size + r with
     ``size = 2**low``. Each size-block is a copy of the dim-low network, so
     the middle of v's row (its partners below level low) is that network's
-    row r inside the block ``ids[h*size:(h+1)*size]``; one ``itemgetter``
-    per row position, built once, takes that position for every r of a
-    block. Each
-    level k >= low is one partner list over all ids, one ``itemgetter`` per
-    block of 2^(k+1). Which of those lists go below the middle and which
-    above depends on h only, so the rows of block h are one ``zip`` of their
-    slices and the middle columns, in row order, and the per-entry work runs
-    in C. For dim 1 the rows are two single ids.
+    row r inside the block. Each level k >= low is one partner list over
+    all ids, one ``itemgetter`` per block of 2^(k+1); which lists go below
+    the middle and which above depends on h only, so ``_block_rows`` takes
+    their slices over block h as the outer columns. For dim 1 the rows are
+    two single ids.
     """
     dim = len(patterns)
     if dim == 1:
@@ -287,7 +291,6 @@ def _bc_rows(patterns: list[list[int]], ids: list[int]) -> list[tuple[int, ...]]
     low = dim // 2
     size = 2**low
     n_vertices = 2**dim
-    middle = [itemgetter(*column) for column in zip(*_bc_rows(patterns[:low], ids))]
     partners = []
     for k in range(low, dim):
         width = 2 ** (k + 1)
@@ -295,16 +298,12 @@ def _bc_rows(patterns: list[list[int]], ids: list[int]) -> list[tuple[int, ...]]
         blocks = (ids[b : b + width] for b in range(0, n_vertices, width))
         partners.append(list(chain.from_iterable(map(pick, blocks))))
     high = range(dim - low)
-    rows = []
-    for h in range(n_vertices // size):
-        start, end = h * size, (h + 1) * size
-        block = ids[start:end]
-        rows += zip(
-            *[partners[j][start:end] for j in reversed(high) if h >> j & 1],
-            *[column(block) for column in middle],
-            *[partners[j][start:end] for j in high if not h >> j & 1],
-        )
-    return rows
+    sides = (
+        ([partners[j][h * size : (h + 1) * size] for j in reversed(high) if h >> j & 1],
+         [partners[j][h * size : (h + 1) * size] for j in high if not h >> j & 1])
+        for h in range(n_vertices // size)
+    )
+    return _block_rows(_bc_rows(patterns[:low], ids), ids, sides)
 
 
 # --- edge-list text format ---------------------------------------------------

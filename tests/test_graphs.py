@@ -13,7 +13,6 @@ from isocut.graphs import (
     MATCHING_POLICIES,
     Graph,
     HammingParams,
-    _picker,
     bc_network,
     encode,
     format_digits,
@@ -136,6 +135,11 @@ class TestHammingParams:
     def test_largest_native_graphs(self, arity, dim):
         assert HammingParams(arity, dim).vertex_count <= 2**64 - 1
 
+    @pytest.mark.parametrize("arity,dim", [(2.5, 3), ("2", 3), (2, True)])
+    def test_rejects_non_integers(self, arity, dim):
+        with pytest.raises(DomainError):
+            HammingParams(arity, dim)
+
     def test_huge_dims_rejected_without_the_power(self):
         with pytest.raises(DomainError):
             HammingParams(2, NoPower(10**18))
@@ -167,6 +171,15 @@ class TestCodec:
     def test_format_digits(self):
         assert format_digits((0, 2, 1), 3) == "021"
         assert format_digits((11, 0, 3), 12) == "11.0.3"
+
+    def test_encode_rejects_a_float_vertex(self):
+        with pytest.raises(DomainError):
+            encode(2.0, HammingParams(2, 3))
+
+    @pytest.mark.parametrize("digits,arity", [((5,), 2), ((0, 2), 2), ((-1,), 3), ((12,), 12)])
+    def test_format_digits_rejects_digits_outside_the_base(self, digits, arity):
+        with pytest.raises(DomainError):
+            format_digits(digits, arity)
 
 
 class TestHammingGraph:
@@ -205,28 +218,19 @@ class TestHammingGraph:
             assert g.label == want.label, p
             assert g.adjacency == want.adjacency, p
 
+    def test_largest_bench_graph_flips_one_bit(self):
+        # K_2^17, the largest graph the witness sweep builds, is past BUILDER_GRID
+        g = hamming_graph(HammingParams(2, 17))
+        rng = random.Random(17)
+        for v in rng.sample(range(g.vertex_count), 2000):
+            assert g.adjacency[v] == tuple(sorted(v ^ 1 << p for p in range(17))), v
+
     def test_entries_share_one_int_per_vertex(self):
         g = hamming_graph(HammingParams(3, 6))  # ids past the small-int cache
         first = {}
         for row in g.adjacency:
             for u in row:
                 assert first.setdefault(u, u) is u
-
-
-class TestPicker:
-    @pytest.mark.parametrize(
-        "positions,want",
-        [
-            ([], ""),
-            ([2], "c"),
-            ([1, 2, 3], "bcd"),
-            ([0, 2, 3], "acd"),
-            ([2, 1, 0], "cba"),
-            ([3, 2], "dc"),
-        ],
-    )
-    def test_items_in_the_given_order(self, positions, want):
-        assert "".join(_picker(positions)("abcde")) == want
 
 
 class TestBCNetwork:
@@ -268,6 +272,11 @@ class TestBCNetwork:
         c = bc_network(4, "seeded_random", seed=12)
         assert a.adjacency == b.adjacency
         assert a.adjacency != c.adjacency
+
+    @pytest.mark.parametrize("dim", [3.0, True])
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(DomainError):
+            bc_network(dim)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(DomainError):
