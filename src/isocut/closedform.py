@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import DomainError, UnsupportedError
-from .graphs import HammingParams
+from .graphs import HammingParams, _integer
 
 CONDITION_KINDS = ("extra", "embedded", "cyclic", "super", "average", "isoperimetric")
 
@@ -194,6 +194,8 @@ class ConditionKind:
             return
         if self.value is None:
             raise DomainError(f"{self.kind} requires a parameter")
+        if type(self.value) is not int:
+            object.__setattr__(self, "value", _integer(self.value, f"{self.kind} parameter"))
         minimum = 1 if self.kind in ("extra", "isoperimetric") else 0
         if self.value < minimum:
             raise DomainError(f"{self.kind} parameter must be >= {minimum}")

@@ -20,12 +20,22 @@ or idea with the formula side. Working notes on the engines:
 * One walker, rooted growth in the style of ESU (Wernicke 2006), does every
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
-  start, arbitrary. It hands each state ``(mask, size, cut, internal)`` to
-  a visitor: the profile visitor keeps one per-size profile, over the
-  connected sets or over those whose complement is connected too (when
-  both sides must be), and the cut visitor keeps the best qualifying
-  bipartition for conditional connectivity and gates its expensive checks
-  (complement connectivity, side predicates) behind the current best cut.
+  start, arbitrary. It hands a state ``(mask, size, cut, internal)`` to a
+  visitor only when cut <= bound[size], where bound is a per-size list
+  that the visitor owns and lowers as it improves: the profile visitor
+  keeps one per-size profile, over the connected sets or over those whose
+  complement is connected too (when both sides must be), with bound[size]
+  its best cut at that size; the cut visitor keeps the best qualifying
+  bipartition for conditional connectivity, with its best cut at every
+  size, and gates its expensive checks (complement connectivity, side
+  predicates) behind it. Each visitor keeps its own full test, so the gate
+  only skips states the visitor would reject: on K_5^2 the connected and
+  the bilateral profile up to size 8 each walk 87,798 states and visit
+  234, and the two-part scans of the 52 feasible conditions on K_4^2 and
+  K_2^4 walk 1,126,906 and visit 26,841. A state is counted when its
+  parent grows it, and a child with nothing to grow, every child at the
+  last level (size max_m) among them, is visited in the parent's loop,
+  with no call of its own.
   A task is (node, whole): a walker state and whether it takes the node's
   whole subtree or the node's set alone. One rule, ``_split``, turns a
   node into its set alone and one whole task per extension, each child
@@ -44,9 +54,10 @@ or idea with the formula side. Working notes on the engines:
   each part grown by the walker from the least vertex left, inside what
   is left: rows masked to that pool, so a part's cut counts only its edges
   into the pool, and a free start for isoperimetric parts. The partition
-  visitor prunes by a cut budget at every part and starts the next peel;
-  it runs the first part through the task runner like the other visitors,
-  and nested peels draw on the same task's state tally.
+  visitor prunes by a cut budget at every part, its bound at every size
+  the budget less the cut of the parts already peeled, and starts the next
+  peel; it runs the first part through the task runner like the other
+  visitors, and nested peels draw on the same task's state tally.
 * On a graph that ``_orbit_minima`` certifies vertex-transitive, every
   engine visits only sets that contain vertex 0, pruned further by one
   task rule, ``_tasks``. Every condition here is invariant under
@@ -97,9 +108,10 @@ or idea with the formula side. Working notes on the engines:
   shares of it may still be running, and an exit hook terminates whatever
   workers are left.
 * ``OracleBudget.max_subsets`` caps the total state count of one
-  enumeration: each task stops once it would take its share past the cap,
-  and the runner sums the shares' states as they finish, so the error is
-  raised iff the total exceeds the cap, serial or parallel.
+  enumeration, every state walked whether or not its visitor sees it:
+  each task stops once it would take its share past the cap, and the
+  runner sums the shares' states as they finish, so the error is raised
+  iff the total exceeds the cap, serial or parallel.
 """
 
 from __future__ import annotations
@@ -124,7 +136,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .graphs import Graph, HammingParams
+from .graphs import Graph, HammingParams, _integer
 
 __all__ = [
     "OracleBudget",
@@ -143,12 +155,14 @@ __all__ = [
 class OracleBudget:
     """Caps on enumeration size.
 
-    max_subsets caps the total number of states one enumeration visits;
+    max_subsets caps the total number of states one enumeration walks,
+    including those the walker's bound gate keeps from the visitor;
     SubsetBudgetError is raised iff that total exceeds it, serial or
     parallel. max_vertices bounds |V| of any graph handed to the oracle.
     parallel_chunks is the process count, the caller included: 1 runs
     in-process; W > 1 keeps W - 1 worker processes and splits the tasks
-    into shares for the caller and each worker.
+    into shares for the caller and each worker. Each field must be an int
+    (a bool is refused); DomainError otherwise.
     """
 
     max_subsets: int = 200_000_000
@@ -156,6 +170,8 @@ class OracleBudget:
     parallel_chunks: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_subsets", "max_vertices", "parallel_chunks"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.max_subsets < 1 or self.max_vertices < 1 or self.parallel_chunks < 1:
             raise DomainError("budget fields must be positive")
 
@@ -367,7 +383,7 @@ def _tasks(graph: Graph, state: dict, rooted: bool = False) -> list:
 # --- task runner --------------------------------------------------------------
 #
 # A task is a module-level function task(state, item, cap) -> (result, visited)
-# that raises SubsetBudgetError once it alone visits more than cap states; it
+# that raises SubsetBudgetError once it alone walks more than cap states; it
 # reads its call's state only from the argument, so concurrent calls share
 # nothing but the workers.
 #
@@ -530,38 +546,64 @@ def _scan_states(state: dict, item: tuple) -> int:
 
 # --- engine: rooted growth ----------------------------------------------------
 
-def _walker(rows, degrees, max_m, visit, tally):
+_OVER_BUDGET = "rooted growth exceeded the states left in the budget"
+
+
+def _take(tally: list, states: int) -> None:
+    """Take states from tally[0]; SubsetBudgetError once it falls below zero,
+    so walkers sharing a tally share one cap."""
+    tally[0] -= states
+    if tally[0] < 0:
+        raise SubsetBudgetError(_OVER_BUDGET)
+
+
+def _walker(rows, degrees, max_m, visit, bound, tally):
     """grow(mask, ext, seen, size, cut, internal): ESU-style rooted growth.
 
-    Visits the state, then, while size < max_m, grows it by each vertex of
-    ext in ascending order; the vertex added makes its neighbours along rows
-    that are not in seen extendable further down. cut and internal count
-    edges along rows, with degrees[v] the popcount of rows[v]. Each state
-    takes one from tally[0], and SubsetBudgetError is raised once that falls
-    below zero, so walkers sharing a tally share one cap.
+    Visits the state if cut <= bound[size], then, while size < max_m, grows
+    it by each vertex of ext in ascending order; the vertex added makes its
+    neighbours along rows that are not in seen extendable further down. The
+    visitor owns bound and may lower it as it improves, so the gate only
+    skips states its own test would reject. cut and internal count edges
+    along rows, with degrees[v] the popcount of rows[v]. A state is counted
+    when its parent grows it: a node takes its children, ext.bit_count()
+    of them, from the tally (as _take does) before it visits or grows any
+    of them, and the caller takes one for the root. A child with nothing
+    to grow is visited in the parent's loop, with no call of its own; so
+    is every child at size max_m, for which no ext or seen is computed.
     """
 
     def grow(mask, ext, seen, size, cut, internal):
-        tally[0] -= 1
+        if cut <= bound[size]:
+            visit(mask, size, cut, internal)
+        if size == max_m or not ext:
+            return
+        tally[0] -= ext.bit_count()
         if tally[0] < 0:
-            raise SubsetBudgetError("rooted growth exceeded the states left in the budget")
-        visit(mask, size, cut, internal)
+            raise SubsetBudgetError(_OVER_BUDGET)
+        size += 1
         if size == max_m:
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                v = low.bit_length() - 1
+                common = (rows[v] & mask).bit_count()
+                child_cut = cut + degrees[v] - 2 * common
+                if child_cut <= bound[size]:
+                    visit(mask | low, size, child_cut, internal + common)
             return
         while ext:
             low = ext & -ext
             ext ^= low
             v = low.bit_length() - 1
-            common = (rows[v] & mask).bit_count()
-            fresh = rows[v] & ~seen
-            grow(
-                mask | low,
-                ext | fresh,
-                seen | fresh,
-                size + 1,
-                cut + degrees[v] - 2 * common,
-                internal + common,
-            )
+            row = rows[v]
+            common = (row & mask).bit_count()
+            child_cut = cut + degrees[v] - 2 * common
+            fresh = row & ~seen
+            if ext | fresh:
+                grow(mask | low, ext | fresh, seen | fresh, size, child_cut, internal + common)
+            elif child_cut <= bound[size]:
+                visit(mask | low, size, child_cut, internal + common)
 
     return grow
 
@@ -646,26 +688,34 @@ def _run_engine(task, state: dict, items: list, budget: OracleBudget):
 def _grow_task(state, item, cap):
     """Grow the sets of task `item` (see _split): the node's set alone, or
     every set of at most max_m vertices in its subtree, connected along the
-    state's masks or arbitrary when state['free'] is set. Passes each to the
-    visitor built by the state's visitor factory and returns (the visitor's
-    partial result, visited).
+    state's masks or arbitrary when state['free'] is set. The state's
+    visitor factory returns (visit, bound, finish); the walker passes visit
+    each set within bound, and the task returns (finish(), states walked).
     """
     tally = [cap]
-    visit, finish = state["visitor"](state, tally)
-    grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, tally)
+    _take(tally, 1)  # the root
+    visit, bound, finish = state["visitor"](state, tally)
+    grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, bound, tally)
     (mask, ext, *rest), whole = item
     grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
     return finish(), cap - tally[0]
 
 
+def _unbounded(state: dict) -> list:
+    """A bound list that passes every state: no cut exceeds the degree sum."""
+    return [sum(state["degrees"])] * (state["max_m"] + 1)
+
+
 def _profile_visitor(state: dict, tally):
     """The least (cut, mask, size) entry of each size over the visited sets,
     or over those whose complement is connected too when state['bilateral']
-    is set; None at sizes where nothing qualified."""
+    is set; None at sizes where nothing qualified. bound[size] is the cut
+    of the entry kept at that size."""
     masks = state["masks"]
     full = state["full"]
     bilateral = state["bilateral"]
     best: list = [None] * (state["max_m"] + 1)
+    bound = _unbounded(state)
 
     def visit(mask: int, size: int, cut: int, internal: int) -> None:
         entry = best[size]
@@ -676,16 +726,19 @@ def _profile_visitor(state: dict, tally):
         if bilateral and not _mask_connected(full & ~mask, masks):
             return
         best[size] = (cut, mask, size)
+        bound[size] = cut
 
-    return visit, lambda: best
+    return visit, bound, lambda: best
 
 
 # --- public fixed-size operations --------------------------------------------
 
-def _check_m(graph: Graph, m: int) -> None:
+def _check_m(graph: Graph, m: int) -> int:
+    m = _integer(m, "m")
     half = graph.vertex_count // 2
     if not 1 <= m <= half:
         raise DomainError(f"m must be in [1, {half}], got {m}")
+    return m
 
 
 def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
@@ -698,7 +751,7 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     by the stabiliser of 0, are visited.
     """
     _require_oracle_scale(graph, budget)
-    _check_m(graph, max_m)
+    max_m = _check_m(graph, max_m)
     if mode not in ("any", "connected", "bilateral"):
         raise DomainError(f"unknown mode {mode!r}")
     free = mode == "any"
@@ -737,8 +790,7 @@ def _min_boundary(graph: Graph, m: int, mode: str, budget: OracleBudget) -> Frag
             "bilateral": f"{m}-vertex set with both sides connected",
         }[mode]
         raise InfeasibleError(f"no {what} in {graph.label}")
-    cut, mask, _ = entries[-1]
-    return _package(graph, cut, mask, m, visited, t0)
+    return _package(graph, *entries[-1], visited, t0)
 
 
 def brute_min_boundary(
@@ -861,13 +913,15 @@ def _side_predicate(cond: ConditionKind, params: HammingParams | None, graph: Gr
 
 def _cut_visitor(state: dict, tally):
     """Best qualifying bipartition (cut, witness, atom) among the visited
-    sides, or None when nothing qualified."""
+    sides, or None when nothing qualified. bound holds the best cut at
+    every size."""
     masks = state["masks"]
     full = state["full"]
     pred = state["pred"]
     total_edges = state["edges"]
     n = full.bit_count()
     best = None  # (cut, witness mask, atom size)
+    bound = _unbounded(state)
 
     def visit(mask: int, size: int, cut: int, internal: int) -> None:
         nonlocal best
@@ -885,8 +939,9 @@ def _cut_visitor(state: dict, tally):
         if not _mask_connected(other, masks):
             return
         best = _least((best, (cut, mask, size)))
+        bound[:] = [best[0]] * len(bound)
 
-    return visit, lambda: best
+    return visit, bound, lambda: best
 
 
 def brute_conditional(
@@ -938,6 +993,7 @@ def brute_extra_connectivity(
 ) -> FragmentResult:
     """min over m >= h of the bilateral boundary minimum; the witness is the
     canonical optimal fragment across all achieving sizes."""
+    h = _integer(h, "h")
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
     return brute_conditional(graph, ConditionKind.extra(h), budget=budget)
@@ -952,6 +1008,7 @@ def _partition_visitor(state: dict, tally):
 
     Each visited part is peeled off, and the next part is grown from the
     least vertex left, inside what is left, by a walker on the same tally.
+    Each peel has its own bound list, cut_budget - acc_cut at every size.
     """
     masks = state["masks"]
     part_ok = state["pred"]
@@ -961,14 +1018,14 @@ def _partition_visitor(state: dict, tally):
     zs: set[int] = set()
 
     def parts_of(pool: int, acc_cut: int, parts: int):
-        """The visitor of the candidate parts grown inside pool; their cut
-        counts only the edges into the rest of the pool."""
+        """The visitor of the candidate parts grown inside pool, whose cut
+        counts only the edges into the rest of the pool, and its bound."""
 
         def visit(mask: int, size: int, cut: int, internal: int) -> None:
             if acc_cut + cut <= cut_budget and part_ok(mask, size, internal):
                 peel(pool & ~mask, acc_cut + cut, parts + 1)
 
-        return visit
+        return visit, [cut_budget - acc_cut] * (pool.bit_count() + 1)
 
     def peel(pool: int, acc_cut: int, parts: int) -> None:
         nonlocal best, zs
@@ -979,13 +1036,14 @@ def _partition_visitor(state: dict, tally):
                 elif acc_cut == best:
                     zs.add(parts)
             return
-        rows = tuple(row & pool for row in masks)
-        degrees = tuple(row.bit_count() for row in rows)
+        rows = tuple(map(pool.__and__, masks))
+        degrees = tuple(map(int.bit_count, rows))
         root = (pool & -pool).bit_length() - 1
-        grow = _walker(rows, degrees, pool.bit_count(), parts_of(pool, acc_cut, parts), tally)
+        _take(tally, 1)  # the root
+        grow = _walker(rows, degrees, pool.bit_count(), *parts_of(pool, acc_cut, parts), tally)
         grow(*_root_node(rows, degrees, root, pool, free))
 
-    return parts_of(state["full"], 0, 0), lambda: (best, zs)
+    return *parts_of(state["full"], 0, 0), lambda: (best, zs)
 
 
 def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget: OracleBudget):

@@ -1,4 +1,5 @@
-"""Small graphs shared by the oracle and construction tests.
+"""Small graphs shared by the oracle and construction tests, and the
+ungated walker the oracle tests compare the oracle's walker against.
 
 Pytest puts this directory on sys.path for every test module here, so
 `from helpers import ...` works whether one file or the whole suite runs.
@@ -7,6 +8,7 @@ Pytest puts this directory on sys.path for every test module here, so
 import itertools
 import random
 
+from isocut.errors import SubsetBudgetError
 from isocut.graphs import Graph
 
 
@@ -57,3 +59,34 @@ def pocket_graph():
         edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
     edges += [(0, 6), (1, 9), (2, 12)]
     return graph_from_edges(15, edges, "pocket")
+
+
+def ungated_walker(rows, degrees, max_m, visit, bound, tally):
+    """The oracle's walker without its bound gate: a drop-in for
+    ``oracle._walker`` that ignores bound, visits every state it grows and
+    grows the last level by recursion. Each state it grows takes one from
+    tally[0]; the caller takes one for the root, as with the oracle's."""
+
+    def grow(mask, ext, seen, size, cut, internal):
+        visit(mask, size, cut, internal)
+        if size == max_m:
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            tally[0] -= 1
+            if tally[0] < 0:
+                raise SubsetBudgetError("rooted growth exceeded the states left in the budget")
+            common = (rows[v] & mask).bit_count()
+            fresh = rows[v] & ~seen
+            grow(
+                mask | low,
+                ext | fresh,
+                seen | fresh,
+                size + 1,
+                cut + degrees[v] - 2 * common,
+                internal + common,
+            )
+
+    return grow

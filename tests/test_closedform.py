@@ -265,6 +265,22 @@ class TestConditionKind:
         # super/average allow 0 (vacuous condition)
         assert ConditionKind.super_degree(0).value == 0
 
+    @pytest.mark.parametrize(
+        "kind,value", [("extra", 2.5), ("extra", True), ("embedded", False), ("super", "2"),
+                       ("average", 2.0), ("isoperimetric", True)]
+    )
+    def test_rejects_non_integers(self, kind, value):
+        with pytest.raises(DomainError):
+            ConditionKind(kind, value)
+
+    def test_integer_like_values_become_ints(self):
+        class Index:
+            def __index__(self):
+                return 3
+
+        cond = ConditionKind.extra(Index())
+        assert type(cond.value) is int and cond == ConditionKind.extra(3)
+
 
 class TestConditionalConnectivity:
     @pytest.mark.parametrize("arity", [2, 3, 4, 7, 10])

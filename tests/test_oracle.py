@@ -45,7 +45,7 @@ from isocut.oracle import (
     brute_min_boundary_connected,
 )
 
-from helpers import graph_from_edges, pocket_graph, relabelled, set_components
+from helpers import graph_from_edges, pocket_graph, relabelled, set_components, ungated_walker
 
 
 def reference_profile(graph, max_m, mode):
@@ -218,6 +218,31 @@ class TestWrapperFunctions:
         with pytest.raises(DomainError):
             brute_min_boundary(graph, 5)  # above half
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partial(brute_min_boundary, m=2.0),
+            partial(brute_boundary_profile, max_m=2.0),
+            partial(brute_boundary_profile, max_m="3"),
+            partial(brute_extra_connectivity, h=2.0),
+            partial(brute_min_boundary_connected, m=True),
+        ],
+        ids=["min-boundary-float", "profile-float", "profile-str", "extra-float",
+             "connected-bool"],
+    )
+    def test_sizes_must_be_integers(self, call):
+        with pytest.raises(DomainError):
+            call(hamming_graph(HammingParams(2, 3)))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_subsets", 100.5), ("parallel_chunks", True), ("parallel_chunks", 1.5),
+         ("max_vertices", "32")],
+    )
+    def test_budget_fields_must_be_integers(self, field, value):
+        with pytest.raises(DomainError):
+            OracleBudget(**{field: value})
+
     def test_infeasible_sizes(self):
         edgeless = graph_from_edges(4, [], "edgeless")
         with pytest.raises(InfeasibleError):
@@ -386,6 +411,19 @@ class TestBudgets:
         # {0} and the connected sets of size <= 8 that hold {0, 1}: the one
         # task (0, 0), since the stabiliser of 0 moves 1 onto all of N(0)
         assert_cap_is_exact(hamming_graph(HammingParams(2, 4)), 3247, chunks)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_cut_visitor_cap_is_exact(self, chunks):
+        # the cyclic search on K_2^4 walks the same 3247 states, most of
+        # them kept from its visitor by the best cut
+        graph = hamming_graph(HammingParams(2, 4))
+        cond = ConditionKind.cyclic()
+        budget = OracleBudget(max_subsets=3247, parallel_chunks=chunks)
+        assert brute_conditional(graph, cond, budget=budget).subsets_visited == 3247
+        with pytest.raises(SubsetBudgetError):
+            brute_conditional(
+                graph, cond, budget=OracleBudget(max_subsets=3246, parallel_chunks=chunks)
+            )
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count_not_transitive(self, chunks):
@@ -1180,3 +1218,46 @@ class TestTaskSplit:
                 assert oracle._refine(state, items, SPLIT_TARGET) == items
                 if free:
                     assert [oracle._scan_states(state, item) for item in items] == [1] * roots
+
+
+# --- the walker's bound gate against the ungated reference walker ---------------
+
+def counted_walker(walker, calls):
+    """walker, its visitor wrapped to count its calls in calls[0]."""
+
+    def make(rows, degrees, max_m, visit, bound, tally):
+        def counted(*state):
+            calls[0] += 1
+            visit(*state)
+
+        return walker(rows, degrees, max_m, counted, bound, tally)
+
+    return make
+
+
+GATE_GRAPHS = SPLIT_GRAPHS + [
+    ("bc4-seed13", partial(bc_network, 4, "seeded_random", seed=13), None, 8),
+]
+
+
+class TestBoundGate:
+    @pytest.mark.parametrize(
+        "make,params,max_m", [g[1:] for g in GATE_GRAPHS], ids=[g[0] for g in GATE_GRAPHS]
+    )
+    def test_same_outcome_fewer_visits(self, make, params, max_m):
+        graph = make()
+        for name, run in split_runs(graph, params, max_m).items():
+            if name == "any":
+                continue  # the fixed-size scan, which has no walker
+            outcomes = []
+            for walker in (oracle._walker, ungated_walker):
+                calls = [0]
+                with mock.patch.object(oracle, "_walker", counted_walker(walker, calls)):
+                    outcome, ((_, _, _, visited),) = refined_run(run)
+                outcomes.append((without_time(outcome), visited, calls[0]))
+            (gated, gated_states, gated_calls), (ungated, states, ungated_calls) = outcomes
+            assert gated == ungated, name
+            assert gated_states == states, name
+            # the reference visits every state it walks, the gate fewer
+            assert ungated_calls == states, name
+            assert gated_calls < ungated_calls, name
