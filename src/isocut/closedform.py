@@ -57,6 +57,8 @@ class BaseDecomposition:
 
 
 def decompose(m: int, base: int) -> BaseDecomposition:
+    if type(m) is not int or type(base) is not int:
+        m, base = _integer(m, "m"), _integer(base, "base")
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
     if m < 1:
@@ -88,6 +90,8 @@ def max_degree_sum(m: int, params: HammingParams) -> int:
     term is 2 * sum_i a_i * (m mod L^{b_i}), and m mod L^b is the value of
     the digits already read.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
     if not 1 <= m <= params.vertex_count:
         raise DomainError(f"m must be in [1, {params.vertex_count}], got {m}")
     arity = params.arity
@@ -114,6 +118,8 @@ def min_edge_boundary(m: int, params: HammingParams) -> int:
     L^{b_i} to the boundary once the degree sum is subtracted. Cost is one
     term per base-L digit of m.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
     return params.degree * m - max_degree_sum(m, params)
@@ -126,6 +132,7 @@ def min_boundary_binary(m: int, dim: int) -> int:
     against each other. The term index i counts from the most significant
     exponent down.
     """
+    m = _integer(m, "m")
     params = HammingParams(2, dim)
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
@@ -137,6 +144,7 @@ def min_boundary_binary(m: int, dim: int) -> int:
 
 def min_boundary_ternary(m: int, dim: int) -> int:
     """Arity-3 reduced form: 2nm - sum[2 a_i b_i + 2(a_i-1)]3^{b_i} - cross."""
+    m = _integer(m, "m")
     params = HammingParams(3, dim)
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
@@ -154,6 +162,8 @@ def sublayer_block_boundary(g: int, t: int, params: HammingParams) -> int:
     Returns g[(L-1)(n-t) - (g-1)] L^t, the cut left by the first g*L^t
     vertices; equal to min_edge_boundary(g * L^t).
     """
+    if type(g) is not int or type(t) is not int:
+        g, t = _integer(g, "g"), _integer(t, "t")
     arity, dim = params.arity, params.dim
     if not 0 <= t <= dim - 1:
         raise DomainError(f"t must be in [0, {dim - 1}], got {t}")
@@ -351,6 +361,7 @@ def degree_sum_split(h1: int, h2: int, params: HammingParams) -> int:
 
         max_degree_sum(h1) + max_degree_sum(h2) + 2 * coefficient_sum(h1) * h2
     """
+    h1, h2 = _integer(h1, "h1"), _integer(h2, "h2")
     arity = params.arity
     first = decompose(h1, arity)
     second = decompose(h2, arity)

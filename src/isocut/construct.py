@@ -15,9 +15,14 @@ for overlapping layers.
 
 Connectivity of a cut's sides is settled by a certificate first and a flood
 only where the certificate fails. A side is connected when every member but
-an extreme one has a neighbour in the side that is nearer that extreme:
-``evaluate_cut`` reads it off each member's least or greatest neighbour, and
-``prefix_cut_sweep`` off the neighbour counts below and above each vertex.
+an extreme one has a neighbour in the side that is nearer that extreme.
+``evaluate_cut`` reads it off the least or greatest neighbour in each row it
+reads. For the vertices above a set's greatest member, and for every prefix
+and suffix in ``prefix_cut_sweep``, it reads it off ``Graph._order_breaks``:
+the least vertex with no smaller neighbour and the greatest with no larger
+one, computed in O(N) once per graph and cached on it. So ``evaluate_cut``
+costs O(t + the entries of the set's rows), t the set's greatest member,
+and the sweep of the first k prefixes O(k + the entries of their rows).
 Every prefix and suffix of a Hamming graph or BC network passes, so the
 optimal sets and their complements are certified without a flood. Every
 other side goes to one BFS, ``_flood``: ``evaluate_cut`` floods the sides
@@ -30,12 +35,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
-from operator import getitem, gt, itemgetter, lt, ne, sub
+from itertools import accumulate, chain, compress, repeat, starmap
+from operator import gt, itemgetter, lt, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .graphs import Graph, HammingParams, format_digits
+from .graphs import _GREATEST, _LEAST, Graph, HammingParams, _integer, format_digits
 
 __all__ = [
     "SubLayer",
@@ -52,6 +57,8 @@ __all__ = [
 
 def optimal_set(m: int, params: HammingParams) -> frozenset[int]:
     """The first m vertex ids, a boundary-minimizing set for every valid m."""
+    if type(m) is not int:
+        m = _integer(m, "m")
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
     return frozenset(range(m))
@@ -96,6 +103,8 @@ def sublayer_families(m: int, params: HammingParams) -> tuple[SubLayerFamily, ..
     family of a layers of dimension b whose prefixes are m's higher digits
     followed by j, for j < a. The layers tile {0..m-1} in order.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
     if not 1 <= m <= params.half_size:
         raise DomainError(f"m must be in [1, {params.half_size}], got {m}")
     arity, dim = params.arity, params.dim
@@ -232,20 +241,26 @@ class CutReport:
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # set flags -> complement flags
-_LEAST, _GREATEST = itemgetter(0), itemgetter(-1)  # a sorted row's end neighbours
+_GATHER = itemgetter.__call__  # _GATHER(getter, flags) reads the getter's flags
 
 
 def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     """Exact edge scan of the cut around ``vertex_set``.
 
-    The set must be a nonempty proper subset of the vertices; repeated ids
-    count once. Component sizes are reported for both sides even when
-    connected.
+    The set must be a nonempty proper subset of the vertices, given as exact
+    integer ids (``DomainError`` otherwise); repeated ids count once.
+    Component sizes are reported for both sides even when connected.
 
-    Membership is a ``bytearray`` of flags. The degree sum and the count of
-    adjacency entries landing inside the set (twice the internal edges) are
-    taken by ``map``/``chain`` over the members' rows, so the work per
-    adjacency entry runs in C.
+    With t the set's greatest member, a cut costs O(t + the entries of the
+    members' rows), not O(N), once the graph's ``_order_breaks`` is cached:
+    no row above t is read unless a side fails its certificate. Membership
+    is a ``bytearray`` of flags, and the members are read off its first
+    t + 1. The degree sum is ``map(len)`` over the members' rows, and the
+    count of entries landing inside the set (twice the internal edges) is
+    one ``itemgetter`` gather of flags per row, so the work per adjacency
+    entry runs in C. An ``itemgetter`` of one index returns a bare value and
+    one of none cannot be built, so each getter also reads the 0 flag at
+    index N twice and returns a tuple for rows of every length.
 
     Each side's parts come from a certificate first and a flood only where
     it fails. The set side is connected when every member but the least has
@@ -253,39 +268,52 @@ def evaluate_cut(graph: Graph, vertex_set: Iterable[int]) -> CutReport:
     least neighbours from any member then ends at the least member. The
     complement is connected when every member but the greatest has its
     greatest neighbour (``row[-1]``) in the complement and above itself.
-    Both tests are ``map``/``all`` passes over one side's rows, linear in
-    the side. A side that fails its test (a tested member with no
-    neighbours fails it) is split by the flag-clearing BFS ``_flood``, so
-    the report is the same either way. Every prefix and suffix of a Hamming
-    graph or BC network passes (see ``prefix_cut_sweep``), so their optimal
-    sets are never flooded.
+    Below t that is a ``map``/``all`` pass over the complement's rows. Above
+    t every vertex is in the complement and N-1 is the greatest, so those
+    pass iff no vertex in (t, N-1) lacks a larger neighbour: iff
+    ``last <= t`` for the graph's cached ``Graph._order_breaks``, computed
+    once per graph and shared with ``prefix_cut_sweep``. A side that fails
+    its test (a tested member with no neighbours fails it) is split by the
+    flag-clearing BFS ``_flood``, so the report is the same either way.
+    Every prefix and suffix of a Hamming graph or BC network passes (see
+    ``prefix_cut_sweep``), so their optimal sets are never flooded.
     """
     members = list(vertex_set)
     if not members:
         raise DomainError("vertex set is empty")
+    if not {int}.issuperset(map(type, members)):
+        members = [_integer(v, "vertex id") for v in members]
     n = graph.vertex_count
-    if min(members) < 0 or max(members) >= n:
+    top = max(members)
+    if min(members) < 0 or top >= n:
         raise DomainError("vertex id out of range")
-    flags = bytearray(n)
+    flags = bytearray(n + 1)  # flags[n] is the gather's padding, always 0
     for v in members:
         flags[v] = 1
-    members = list(compress(range(n), flags))
+    members = list(compress(range(top + 1), flags))
     if len(members) == n:
         raise DomainError("vertex set must be a proper subset")
     adjacency = graph.adjacency
     rows = list(map(adjacency.__getitem__, members))
     degree_sum = sum(map(len, rows))
-    inside = sum(map(getitem, repeat(flags), chain.from_iterable(rows)))
-    complement = flags.translate(_FLIP)
-    if _chained(flags, members[1:], rows[1:], _LEAST, lt):
+    getters = starmap(partial(itemgetter, n, n), rows)
+    inside = sum(map(sum, map(_GATHER, getters, repeat(flags))))
+
+    # complement members below the top, all of them when the top is N-1
+    lower = list(compress(range(top), flags[:top].translate(_FLIP)))
+    if top < n - 1:
+        above_passes = graph._order_breaks[1] <= top
+    else:
+        above_passes, lower = True, lower[:-1]  # all but the greatest
+    rows_below = map(adjacency.__getitem__, lower)
+    if above_passes and _chained(flags, lower, rows_below, _GREATEST, gt, 0):
+        comp_parts = (n - len(members),)
+    else:
+        comp_parts = tuple(map(len, _flood(adjacency, flags[:n].translate(_FLIP))))
+    if _chained(flags, members[1:], rows[1:], _LEAST, lt, 1):
         side_parts = (len(members),)
     else:
         side_parts = tuple(map(len, _flood(adjacency, flags)))
-    others = list(compress(range(n), complement))[:-1]  # all but the greatest
-    if _chained(complement, others, map(adjacency.__getitem__, others), _GREATEST, gt):
-        comp_parts = (n - len(members),)
-    else:
-        comp_parts = tuple(map(len, _flood(adjacency, complement)))
     return CutReport(
         set_size=len(members),
         cut_size=degree_sum - inside,
@@ -320,14 +348,19 @@ def _flood(adjacency: Sequence[Sequence[int]], flags: bytearray) -> Iterator[lis
         yield part
 
 
-def _chained(flags: bytearray, members: list[int], rows: Iterable, end, toward) -> bool:
+def _chained(
+    flags: bytearray, members: list[int], rows: Iterable, end, toward, side: int
+) -> bool:
     """Whether each of ``members`` has its ``end`` neighbour in its row
-    flagged and ``toward(neighbour, member)``; False for an empty row."""
+    on ``side`` (the flag value of that side) and ``toward(neighbour,
+    member)``; False for an empty row."""
     try:
         ends = list(map(end, rows))
     except IndexError:  # an isolated member
         return False
-    return all(map(toward, ends, members)) and all(map(getitem, repeat(flags), ends))
+    if not all(map(toward, ends, members)):
+        return False
+    return bytes(map(flags.__getitem__, ends)).count(side) == len(ends)
 
 
 class SweepRow(NamedTuple):
@@ -339,19 +372,24 @@ class SweepRow(NamedTuple):
 
 
 def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow]:
-    """Cut census of every prefix {0..m-1} for m = 1..max_size in O(E) total.
+    """Cut census of every prefix {0..m-1} for m = 1..max_size in
+    O(max_size + the entries of the first max_size rows), plus O(N) once
+    per graph for its ``_order_breaks``.
 
     With sorted rows, ``earlier[v] = bisect_left(adjacency[v], v)`` counts the
     neighbours below v, so vertex v adds ``earlier[v]`` internal edges and
-    ``degree - 2*earlier[v]`` to the cut as it joins the prefix.
+    ``degree - 2*earlier[v]`` to the cut as it joins the prefix. Both columns
+    run over the first max_size vertices only.
 
     Connectivity uses a certificate first. A prefix is connected while every
     v > 0 in it has a smaller neighbour, and a suffix {m..N-1} while every
-    v < N-1 in it has a larger one. Let ``first`` be the least v > 0 with no
-    smaller neighbour and ``last`` the greatest v < N-1 with no larger one.
-    Size m is settled by the certificate unless m > ``first`` or
-    m <= ``last``; each such size takes both flags from
-    ``evaluate_cut(graph, range(m))`` at O(N + E) apiece.
+    v < N-1 in it has a larger one. ``Graph._order_breaks`` holds ``first``,
+    the least v > 0 with no smaller neighbour, and ``last``, the greatest
+    v < N-1 with no larger one, computed once per graph in O(N) and shared
+    with ``evaluate_cut``. Size m is settled by the certificate unless
+    m > ``first`` or m <= ``last``; each such size takes both flags from
+    ``evaluate_cut(graph, range(m))`` at O(m + the entries of its rows)
+    apiece, plus a flood of a side that fails.
 
     Hamming graphs pass both: v > 0 reaches a smaller vertex by zeroing a
     nonzero digit, and v < N-1 a larger one by raising a digit below
@@ -366,15 +404,14 @@ def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow
     if not 1 <= max_size <= n - 1:
         raise DomainError(f"max_size must be in [1, {n - 1}], got {max_size}")
     adjacency = graph.adjacency
-    earlier = list(map(bisect_left, adjacency, range(n)))
-    later = list(map(sub, map(len, adjacency), earlier))
-    internals = list(accumulate(earlier[:max_size]))
-    cuts = list(accumulate(map(sub, later[:max_size], earlier)))
+    earlier = list(map(bisect_left, adjacency, range(max_size)))
+    later = map(sub, map(len, adjacency), earlier)
+    internals = list(accumulate(earlier))
+    cuts = list(accumulate(map(sub, later, earlier)))
 
     set_connected = [True] * max_size
     suffix_connected = [True] * max_size
-    first = _index(earlier, 0, 1, max_size)
-    last = n - 1 - _index(later[::-1], 0, 1, n - 1)
+    first, last = graph._order_breaks
     unsettled = chain(
         range(1, min(last, max_size) + 1), range(max(first, last) + 1, max_size + 1)
     )
@@ -386,11 +423,3 @@ def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow
     # tuple.__new__ builds each row in C, skipping the NamedTuple's Python __new__
     columns = zip(range(1, max_size + 1), cuts, internals, set_connected, suffix_connected)
     return list(map(partial(tuple.__new__, SweepRow), columns))
-
-
-def _index(values: list[int], value: int, start: int, stop: int) -> int:
-    """First index in [start, stop) holding ``value``, else ``stop``."""
-    try:
-        return values.index(value, start, stop)
-    except ValueError:
-        return stop

@@ -16,17 +16,19 @@ low part, so the ids of one h form a block, and write each block's sorted
 rows with one C-level ``zip`` (``_block_rows``). Every entry is the one
 int object of a shared ``list(range(N))``.
 
-This module only builds, codes and writes graphs; the connectivity of
-vertex sets is settled in ``construct``.
+This module builds, codes and writes graphs. The connectivity of vertex
+sets is settled in ``construct``; a ``Graph`` only caches the part of its
+certificate that depends on the graph alone (``Graph._order_breaks``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import index, itemgetter
+from operator import eq, gt, index, itemgetter, lt, not_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +40,8 @@ NATIVE_UINT_MAX = 2**64 - 1
 DEFAULT_VERTEX_CAP = 10**6
 
 MATCHING_POLICIES = ("identity", "reversal", "seeded_random")
+
+_LEAST, _GREATEST = itemgetter(0), itemgetter(-1)  # a sorted row's end neighbours
 
 
 def _integer(value: object, name: str) -> int:
@@ -113,7 +117,13 @@ def format_digits(digits: Sequence[int], arity: int) -> str:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with sorted adjacency lists."""
+    """Immutable simple undirected graph with sorted adjacency lists.
+
+    Views derived from the rows are cached on first use, once per graph:
+    ``edge_count``, the oracle's ``neighbor_masks``, and ``_order_breaks``,
+    the vertex-order certificate that ``construct.evaluate_cut`` and
+    ``construct.prefix_cut_sweep`` share.
+    """
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -137,6 +147,32 @@ class Graph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks; the oracle's working representation."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def _order_breaks(self) -> tuple[int, int]:
+        """(first, last): the least v > 0 with no smaller neighbour, else N,
+        and the greatest v < N-1 with no larger neighbour, else -1.
+
+        The certificate of the vertex order that ``construct`` reads: a
+        prefix {0..m-1} is connected when m <= first, and every vertex of a
+        suffix {m..N-1} but N-1 has a larger neighbour when m > last. With
+        sorted rows, v has no smaller (larger) neighbour iff ``row[0] > v``
+        (``row[-1] < v``), one ``map`` pass each, so the per-vertex work
+        runs in C. An isolated vertex has neither, and its empty row has no
+        ends: then ``bisect_left(row, v)``, the neighbours below v, decides,
+        as 0 for no smaller neighbour and the row's length for no larger.
+        """
+        n, adjacency = self.vertex_count, self.adjacency
+        ids = range(n)
+        try:
+            no_smaller = bytes(map(gt, map(_LEAST, adjacency), ids))
+            no_larger = bytes(map(lt, map(_GREATEST, adjacency), ids))
+        except IndexError:  # an isolated vertex
+            earlier = list(map(bisect_left, adjacency, ids))
+            no_smaller = bytes(map(not_, earlier))
+            no_larger = bytes(map(eq, earlier, map(len, adjacency)))
+        first = no_smaller.find(1, 1)
+        return n if first < 0 else first, no_larger.rfind(1, 0, n - 1)
 
 
 def _check_cap(n_vertices: int, max_vertices: int) -> None:

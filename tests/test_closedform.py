@@ -4,6 +4,7 @@ Frozen reference numbers here were produced by the subset-enumeration oracle
 (see test_oracle.py) and written down; the formulas must keep matching them.
 """
 
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -89,6 +90,11 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(m, base)
 
+    @pytest.mark.parametrize("m,base", [(2.5, 2), (4.0, 2), (True, 2), ("5", 2), (5, 2.0)])
+    def test_rejects_non_integers(self, m, base):
+        with pytest.raises(DomainError):
+            decompose(m, base)
+
 
 class TestBoundaryFormula:
     @pytest.mark.parametrize(
@@ -167,6 +173,45 @@ class TestBoundaryFormula:
             min_edge_boundary(5, p)  # above half
         with pytest.raises(DomainError):
             max_degree_sum(10, p)  # above N
+
+
+P33 = HammingParams(3, 3)
+
+
+class TestNonIntegerArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partial(max_degree_sum, "3", P33),
+            partial(max_degree_sum, 2.0, P33),
+            partial(max_degree_sum, True, P33),
+            partial(min_edge_boundary, "3", P33),
+            partial(min_edge_boundary, 2.0, P33),
+            partial(sublayer_block_boundary, 1.0, 1, P33),
+            partial(sublayer_block_boundary, 1, True, P33),
+            partial(min_boundary_binary, 2.0, 4),
+            partial(min_boundary_ternary, "2", 4),
+            partial(degree_sum_split, 9.0, 1, P33),
+            partial(degree_sum_split, 9, True, P33),
+        ],
+        ids=[
+            "degree-sum-str", "degree-sum-float", "degree-sum-bool", "boundary-str",
+            "boundary-float", "block-float-g", "block-bool-t", "binary-float",
+            "ternary-str", "split-float", "split-bool",
+        ],
+    )
+    def test_raise_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_integer_like_values_are_read_as_ints(self):
+        class Index:
+            def __index__(self):
+                return 3
+
+        assert max_degree_sum(Index(), P33) == max_degree_sum(3, P33)
+        assert min_edge_boundary(Index(), P33) == min_edge_boundary(3, P33)
+        assert decompose(Index(), 2) == decompose(3, 2)
 
 
 class TestReducedForms:

@@ -21,6 +21,7 @@ from isocut.construct import (
 )
 from isocut.errors import DomainError
 from isocut.graphs import (
+    Graph,
     HammingParams,
     bc_network,
     encode,
@@ -60,6 +61,19 @@ CERTIFIED_GRAPHS = [
 CUBE = hamming_graph(HammingParams(2, 3))
 TWO_EDGES = graph_from_edges(5, [(0, 1), (2, 3)], "two-edges")
 ISOLATED = graph_from_edges(5, [(0, 1), (3, 4)], "isolated")
+
+
+class LoggedRows(tuple):
+    """Adjacency rows that log the index of every row read through indexing."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.read = []
+        return self
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return super().__getitem__(index)
 
 
 def reference_sweep(graph, max_size):
@@ -194,6 +208,12 @@ class TestOptimalSet:
             optimal_set(0, p)
         with pytest.raises(DomainError):
             optimal_set(9, p)  # above half
+
+    @pytest.mark.parametrize("call", [optimal_set, sublayer_families], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [2.0, True, "2"], ids=repr)
+    def test_rejects_non_integer_sizes(self, call, m):
+        with pytest.raises(DomainError):
+            call(m, HammingParams(2, 4))
 
 
 class TestSublayerFamilies:
@@ -380,6 +400,43 @@ class TestEvaluateCut:
     def test_duplicates_collapse(self, q4):
         assert evaluate_cut(q4, [0, 0, 1]).set_size == 2
 
+    @pytest.mark.parametrize("vertices", [["a"], [1.0], [True, 3], [0, None]], ids=repr)
+    def test_rejects_non_integer_ids(self, q4, vertices):
+        with pytest.raises(DomainError):
+            evaluate_cut(q4, vertices)
+
+    def test_integer_like_ids_are_read_as_ints(self, q4):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        assert evaluate_cut(q4, [Index(0), 1]) == evaluate_cut(q4, [0, 1])
+
+    def test_reads_no_row_above_a_prefix(self):
+        q12 = hamming_graph(HammingParams(2, 12))
+        rows = LoggedRows(q12.adjacency)
+        graph = Graph(q12.vertex_count, rows, q12.label)
+        graph._order_breaks  # the per-graph certificate, read before any cut
+        for m in (1, 2, 7, 64, 1000, 2048):
+            rows.read.clear()
+            report = evaluate_cut(graph, range(m))
+            assert report == evaluate_cut(q12, range(m))
+            assert report.side_connected and report.complement_connected
+            assert rows.read and max(rows.read) < m, m
+
+    @pytest.mark.parametrize(
+        "graph", [*UNCERTIFIED_GRAPHS, *CERTIFIED_GRAPHS, CUBE, TWO_EDGES, ISOLATED],
+        ids=lambda g: g.label,
+    )
+    def test_order_breaks_match_reference(self, graph):
+        n, adjacency = graph.vertex_count, graph.adjacency
+        no_smaller = [v for v in range(1, n) if min(adjacency[v], default=n) > v]
+        no_larger = [v for v in range(n - 1) if max(adjacency[v], default=-1) < v]
+        assert graph._order_breaks == (min(no_smaller, default=n), max(no_larger, default=-1))
+
     def test_matches_frozenset_reference(self):
         rng = random.Random(6)
         for g in [*UNCERTIFIED_GRAPHS, *CERTIFIED_GRAPHS]:
@@ -404,6 +461,9 @@ class TestEvaluateCut:
             pytest.param(CUBE, [5], id="single-member-set"),
             pytest.param(CUBE, [0, 1, 2, 3, 4, 6, 7], id="single-member-complement"),
             pytest.param(pocket_graph(), range(1, 15), id="pocket-single-complement"),
+            # vertex 5, above the set's top, has no larger neighbour
+            pytest.param(pocket_graph(), [0], id="dead-end-above-top"),
+            pytest.param(CUBE, [0, 7], id="set-holds-last-vertex"),
         ],
     )
     def test_certificate_edge_cases_match_reference(self, graph, vertices):
