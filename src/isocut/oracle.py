@@ -57,7 +57,7 @@ or idea with the formula side. Working notes on the engines:
   visitor prunes by a cut budget at every part, its bound at every size
   the budget less the cut of the parts already peeled, and starts the next
   peel; it runs the first part through the task runner like the other
-  visitors, and nested peels draw on the same task's state tally.
+  visitors, and nested peels draw on the same share's state tally.
 * On a graph that ``_orbit_minima`` certifies vertex-transitive, every
   engine visits only sets that contain vertex 0, pruned further by one
   task rule, ``_tasks``. Every condition here is invariant under
@@ -88,20 +88,20 @@ or idea with the formula side. Working notes on the engines:
   call splits them further (see the runner).
 * Both enumerators split their work into tasks that go through one runner.
   ``OracleBudget.parallel_chunks`` = W counts the processes, the caller
-  included. A serial call (W = 1) runs its tasks in-process as they are.
+  included. A serial call (W = 1) runs its tasks in-process as one share.
   With W > 1 there are workers to share the work, so the tasks are first
   refined one extension level at a time, each whole task by ``_split``,
-  until there are at least 8W of them or a level splits none; refined
-  in-process they would only cost more, each task's visitor starting with
-  no best cut. The caller then runs the interleaved share items[0::W]
-  itself while each of W - 1 workers runs items[k::W], sent in one
-  message. Results are put back in task order and combined with a
-  deterministic min-reduction, so parallel results, witnesses and state
-  counts match serial ones bit for bit. Every task takes its call's state
-  as an argument, so threads mixing serial and parallel calls share
-  nothing but the workers and the certificate cache. Task functions and
-  side predicates are module-level and picklable, so workers run under
-  every start method (fork, spawn, forkserver).
+  until there are at least 8W of them or a level splits none. The caller
+  then runs the interleaved share items[0::W] itself while each of W - 1
+  workers runs items[k::W], sent in one message. One visitor, and for
+  growth one walker and one tally, take a share's tasks in turn, so a
+  bound lowered on one task gates the next. The shares' results are
+  combined with a deterministic min-reduction, so parallel results,
+  witnesses and state counts match serial ones bit for bit. Every share
+  takes its call's state as an argument, so threads mixing serial and
+  parallel calls share nothing but the workers and the certificate cache.
+  Task functions and side predicates are module-level and picklable, so
+  workers run under every start method (fork, spawn, forkserver).
 * The runner keeps its worker processes for the next parallel call with
   the same start method and worker count: starting them costs more than a
   small enumeration. A call that raises terminates the workers, since
@@ -109,9 +109,9 @@ or idea with the formula side. Working notes on the engines:
   workers are left.
 * ``OracleBudget.max_subsets`` caps the total state count of one
   enumeration, every state walked whether or not its visitor sees it:
-  each task stops once it would take its share past the cap, and the
-  runner sums the shares' states as they finish, so the error is raised
-  iff the total exceeds the cap, serial or parallel.
+  each share stops once it would walk past the cap, and the runner sums
+  the shares' states as they finish, so the error is raised iff the total
+  exceeds the cap, serial or parallel.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ class OracleBudget:
     """Caps on enumeration size.
 
     max_subsets caps the total number of states one enumeration walks,
-    including those the walker's bound gate keeps from the visitor;
-    SubsetBudgetError is raised iff that total exceeds it, serial or
+    including those the walker's bound gate keeps from the visitor: each
+    share of the tasks stops once it alone walks past the cap, and
+    SubsetBudgetError is raised iff the total exceeds it, serial or
     parallel. max_vertices bounds |V| of any graph handed to the oracle.
     parallel_chunks is the process count, the caller included: 1 runs
     in-process; W > 1 keeps W - 1 worker processes and splits the tasks
@@ -382,10 +383,10 @@ def _tasks(graph: Graph, state: dict, rooted: bool = False) -> list:
 
 # --- task runner --------------------------------------------------------------
 #
-# A task is a module-level function task(state, item, cap) -> (result, visited)
-# that raises SubsetBudgetError once it alone walks more than cap states; it
-# reads its call's state only from the argument, so concurrent calls share
-# nothing but the workers.
+# A task is a module-level function task(state, items, cap) -> (result,
+# visited) that runs one share of a call's items and raises SubsetBudgetError
+# once the share walks more than cap states; it reads its call's state only
+# from the argument, so concurrent calls share nothing but the workers.
 #
 # Each worker process has a pipe of its own and shares no lock with the
 # others, so terminating the workers mid-call is safe. multiprocessing.Pool
@@ -396,27 +397,16 @@ _POOL: dict = {}  # at most one entry, (start method, workers) -> [(process, pip
 _POOL_LOCK = threading.Lock()  # held by the one parallel call using _POOL
 
 
-def _run_share(task, state: dict, items: list, cap: int) -> list:
-    """(result, states) of task over items in turn, each task capped at
-    what the share has left of cap."""
-    outcomes = []
-    for item in items:
-        result, states = task(state, item, cap)
-        cap -= states
-        outcomes.append((result, states))
-    return outcomes
-
-
 def _serve(pipe) -> None:
-    """Worker loop: run the share in each message that arrives and send
-    back (True, outcomes) or (False, the exception raised)."""
+    """Worker loop: run each share (task, state, items, cap) that arrives
+    and send back (True, its outcome) or (False, the exception raised)."""
     while True:
         try:
-            share = pipe.recv()
+            task, *share = pipe.recv()
         except EOFError:
             return
         try:
-            reply = (True, _run_share(*share))
+            reply = (True, task(*share))
         except Exception as exc:  # raised again in the parent
             reply = (False, exc)
         pipe.send(reply)
@@ -449,7 +439,7 @@ def _close_pools() -> None:
             pipe.close()
 
 
-def _reply(pipe) -> list:
+def _reply(pipe) -> tuple:
     ok, value = pipe.recv()
     if not ok:
         raise value
@@ -457,47 +447,52 @@ def _reply(pipe) -> list:
 
 
 def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
-    """Results of task over items, in order, and their total states.
+    """The results of task, one per share of items, and their total states.
 
     budget.parallel_chunks counts the processes, the caller included: with
     W of them, share k is the interleaved items[k::W]; the caller runs
     share 0 while each of W - 1 kept workers runs one other share, sent in
-    one message. Each task is capped at what its share has left of
-    budget.max_subsets, and the shares' totals are summed as they finish,
-    so SubsetBudgetError is raised iff the total exceeds the cap, serial or
-    parallel.
+    one message, and a serial call runs every item as one share. Each share
+    is one call task(state, share, cap), capped at budget.max_subsets, and
+    the shares' totals are summed as they finish, so SubsetBudgetError is
+    raised iff the total exceeds the cap, serial or parallel.
     """
     cap = budget.max_subsets
     width = budget.parallel_chunks
     shares = [items[k::width] for k in range(max(1, min(width, len(items))))]
     parallel = len(shares) > 1
     visited = 0
-    parts = []
+    results = []
     with _POOL_LOCK if parallel else nullcontext():
         try:
             pipes = _pool(width - 1)[:len(shares) - 1] if parallel else []
             for pipe, share in zip(pipes, shares[1:]):
                 pipe.send((task, state, share, cap))
             # the caller runs its share before it reads the workers' replies
-            for part in chain([_run_share(task, state, shares[0], cap)], map(_reply, pipes)):
-                visited += sum(states for _, states in part)
+            for result, states in chain([task(state, shares[0], cap)], map(_reply, pipes)):
+                visited += states
                 if visited > cap:
                     raise SubsetBudgetError(f"enumeration exceeded max_subsets={cap}")
-                parts.append(part)
+                results.append(result)
         except BaseException:
             if parallel:
                 _close_pools()  # shares of this call may still be running
             raise
-    return [parts[i % width][i // width][0] for i in range(len(items))], visited
+    return results, visited
 
 
 # --- engine: fixed-size scan, no connectivity --------------------------------
 
-def _beta_task(state, item, cap):
+def _beta_task(state, items, cap):
     """The least (cut, mask, size) entry of each size 1..max_m, None where
-    nothing was scanned, over the sets of task `item` (see _split).
+    nothing was scanned, over the sets of the tasks in items (see _split),
+    and the number of those sets.
 
-    The caller checks the whole scan against the budget up front, so cap is
+    A task's sets come in lexicographic order (its node's set, then depth
+    first those extending it above its largest vertex), and _tasks and
+    _refine emit tasks in that order of their sets, which a share keeps;
+    so the first optimum kept at each size, by strict <, is the least. The
+    caller checks the whole scan against the budget up front, so cap is
     never reached here.
     """
     masks = state["masks"]
@@ -521,18 +516,17 @@ def _beta_task(state, item, cap):
             if grow:
                 rec(v + 1, mask | bit, nsize, ncut)
 
-    # the node's set comes first, and depth-first order is lexicographic
-    # order, so the first optimum kept is the least
-    (mask, _, _, size, cut, _), whole = item
-    best_cut[size] = cut
-    best_mask[size] = mask
-    if whole and size < max_m:
-        rec(mask.bit_length(), mask, size, cut)
+    for (mask, _, _, size, cut, _), whole in items:
+        if best_cut[size] is None or cut < best_cut[size]:
+            best_cut[size] = cut
+            best_mask[size] = mask
+        if whole and size < max_m:
+            rec(mask.bit_length(), mask, size, cut)
     entries = [
         None if cut is None else (cut, mask, size)
         for size, (cut, mask) in enumerate(zip(best_cut, best_mask))
     ]
-    return entries, _scan_states(state, item)
+    return entries, sum(_scan_states(state, item) for item in items)
 
 
 def _scan_states(state: dict, item: tuple) -> int:
@@ -676,28 +670,30 @@ def _engine_state(graph: Graph, max_m: int, **fields) -> dict:
 
 
 def _run_engine(task, state: dict, items: list, budget: OracleBudget):
-    """The results of task over the items, in order, and the states
-    visited. With more than one process the items are first refined to at
-    least eight tasks per process, as far as their nodes split: the pruned
-    scans are a few lopsided tasks, often two."""
+    """The results of task, one per share of the items (see _run_tasks),
+    and the states visited. With more than one process the items are first
+    refined to at least eight tasks per process, as far as their nodes
+    split: the pruned scans are a few lopsided tasks, often two."""
     if budget.parallel_chunks > 1:
         items = _refine(state, items, 8 * budget.parallel_chunks)
     return _run_tasks(task, state, items, budget)
 
 
-def _grow_task(state, item, cap):
-    """Grow the sets of task `item` (see _split): the node's set alone, or
-    every set of at most max_m vertices in its subtree, connected along the
-    state's masks or arbitrary when state['free'] is set. The state's
-    visitor factory returns (visit, bound, finish); the walker passes visit
-    each set within bound, and the task returns (finish(), states walked).
+def _grow_task(state, items, cap):
+    """Grow the sets of the tasks in items (see _split), each the node's set
+    alone or every set of at most max_m vertices in its subtree, connected
+    along the state's masks or arbitrary when state['free'] is set. The
+    state's visitor factory, called once, returns (visit, bound, finish);
+    one walker passes visit each set within bound, task after task, so a
+    bound lowered on one task gates the next. Returns (finish(), states
+    walked); SubsetBudgetError once the share walks more than cap states.
     """
     tally = [cap]
-    _take(tally, 1)  # the root
     visit, bound, finish = state["visitor"](state, tally)
     grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, bound, tally)
-    (mask, ext, *rest), whole = item
-    grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
+    for (mask, ext, *rest), whole in items:
+        _take(tally, 1)  # the root
+        grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
     return finish(), cap - tally[0]
 
 

@@ -1,5 +1,6 @@
-"""Small graphs shared by the oracle and construction tests, and the
-ungated walker the oracle tests compare the oracle's walker against.
+"""Small graphs shared by the oracle and construction tests, the ungated
+walker the oracle tests compare the oracle's walker against, and a counting
+stand-in for the oracle's visitor factories.
 
 Pytest puts this directory on sys.path for every test module here, so
 `from helpers import ...` works whether one file or the whole suite runs.
@@ -8,8 +9,15 @@ Pytest puts this directory on sys.path for every test module here, so
 import itertools
 import random
 
+from isocut import oracle
 from isocut.errors import SubsetBudgetError
 from isocut.graphs import Graph
+
+# the factories as imported, before any test patches them
+VISITORS = {
+    name: getattr(oracle, name)
+    for name in ("_profile_visitor", "_cut_visitor", "_partition_visitor")
+}
 
 
 def graph_from_edges(n, edges, label):
@@ -90,3 +98,12 @@ def ungated_walker(rows, degrees, max_m, visit, bound, tally):
             )
 
     return grow
+
+
+def counted_visitor(name, path, state, tally):
+    """The oracle's visitor factory `name`, called after its name is appended
+    to the file at path. Bound with functools.partial it pickles, so a call
+    in a worker process is counted like one in the caller."""
+    with open(path, "a") as log:
+        log.write(name + "\n")
+    return VISITORS[name](state, tally)

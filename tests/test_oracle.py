@@ -45,7 +45,14 @@ from isocut.oracle import (
     brute_min_boundary_connected,
 )
 
-from helpers import graph_from_edges, pocket_graph, relabelled, set_components, ungated_walker
+from helpers import (
+    counted_visitor,
+    graph_from_edges,
+    pocket_graph,
+    relabelled,
+    set_components,
+    ungated_walker,
+)
 
 
 def reference_profile(graph, max_m, mode):
@@ -400,11 +407,10 @@ class TestBudgets:
         )
         items = oracle._tasks(graph, state)
         assert len(items) == 48
-        assert max(oracle._grow_task(state, item, 5000)[1] for item in items) < 5000
-        outcomes = oracle._run_share(oracle._grow_task, state, items, 15910)
-        assert sum(states for _, states in outcomes) == 15910
+        assert max(oracle._grow_task(state, [item], 5000)[1] for item in items) < 5000
+        assert oracle._grow_task(state, items, 15910)[1] == 15910
         with pytest.raises(SubsetBudgetError):
-            oracle._run_share(oracle._grow_task, state, items, 5000)
+            oracle._grow_task(state, items, 5000)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_cap_at_exact_state_count(self, chunks):
@@ -1184,9 +1190,9 @@ class TestTaskSplit:
             partial(oracle._profile, graph, 8, mode, oracle.DEFAULT_BUDGET), SPLIT_TARGET
         )
         assert len(items) >= SPLIT_TARGET
-        states = [task(state, item, visited)[1] for item in items]
+        states = [task(state, items[k::2], visited)[1] for k in range(2)]
         assert sum(states) == visited
-        assert max(sum(states[0::2]), sum(states[1::2])) <= 0.6 * visited
+        assert max(states) <= 0.6 * visited
 
     def test_only_parallel_calls_split(self):
         graph = hamming_graph(HammingParams(5, 2))
@@ -1218,6 +1224,41 @@ class TestTaskSplit:
                 assert oracle._refine(state, items, SPLIT_TARGET) == items
                 if free:
                     assert [oracle._scan_states(state, item) for item in items] == [1] * roots
+
+    @pytest.mark.parametrize(
+        "make,params,max_m", [g[1:] for g in SPLIT_GRAPHS], ids=[g[0] for g in SPLIT_GRAPHS]
+    )
+    def test_tasks_come_in_lexicographic_order(self, make, params, max_m):
+        # a share of the fixed-size scan keeps the first optimum it meets
+        # at each size, which is the least only if the share's sets come
+        # in lexicographic order; an interleaved share keeps the order of
+        # the whole list
+        graph = make()
+        state = oracle._engine_state(graph, max_m, free=True)
+        items = oracle._tasks(graph, state)
+        for target in (1, SPLIT_TARGET, 64):
+            finer = oracle._refine(state, items, target)
+            sets = [s for item in finer for s in scanned_sets(state, item)]
+            assert sets == sorted(set(sets)), target
+            assert len(sets) == sum(oracle._scan_states(state, item) for item in finer)
+
+
+def scanned_sets(state, item):
+    """The sets of a fixed-size scan task, as sorted vertex tuples, in the
+    order the task takes them: the node's set, then depth first every set
+    that extends it by vertices above its largest."""
+    (mask, _, _, size, _, _), whole = item
+    n, max_m = len(state["masks"]), state["max_m"]
+    out = []
+
+    def rec(prefix):
+        out.append(prefix)
+        if whole and len(prefix) < max_m:
+            for v in range(prefix[-1] + 1, n):
+                rec(prefix + (v,))
+
+    rec(oracle._bits_tuple(mask))
+    return out
 
 
 # --- the walker's bound gate against the ungated reference walker ---------------
@@ -1261,3 +1302,85 @@ class TestBoundGate:
             # the reference visits every state it walks, the gate fewer
             assert ungated_calls == states, name
             assert gated_calls < ungated_calls, name
+
+
+# --- one visitor, and for growth one walker, per share ---------------------------
+
+def partition_cell(make, cond, params=None):
+    """The partition scan at the bipartition optimum: its (min_cut,
+    part_counts) and the states it walks."""
+
+    def run(budget):
+        graph = make()
+        optimum = brute_conditional(graph, cond, params=params).optimum
+        with recorded_partition_scans() as scans:
+            partition_minima(graph, cond, params, optimum, budget)
+        return scans
+
+    return run
+
+
+def profile_cell(make, max_m, mode):
+    return lambda budget: oracle._profile(make(), max_m, mode, budget)
+
+
+def conditional_cell(make, cond, params=None):
+    def run(budget):
+        r = brute_conditional(make(), cond, params=params, budget=budget)
+        return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
+
+    return run
+
+
+BC4 = partial(bc_network, 4, "seeded_random", seed=7)
+SHARE_CELLS = [
+    ("profile-bilateral-bc4", "_profile_visitor", profile_cell(BC4, 8, "bilateral")),
+    ("profile-connected-k33", "_profile_visitor",
+     profile_cell(partial(hamming_graph, HammingParams(3, 3)), 5, "connected")),
+    ("extra4-bc4", "_cut_visitor", conditional_cell(BC4, ConditionKind.extra(4))),
+    ("cyclic-q4", "_cut_visitor",
+     conditional_cell(partial(hamming_graph, HammingParams(2, 4)), ConditionKind.cyclic())),
+    ("partition-extra2-bc4", "_partition_visitor", partition_cell(BC4, ConditionKind.extra(2))),
+    ("partition-isoperimetric3-k42", "_partition_visitor",
+     partition_cell(partial(hamming_graph, HammingParams(4, 2)),
+                    ConditionKind.isoperimetric(3), HammingParams(4, 2))),
+]
+
+
+class TestOneVisitorPerShare:
+    @pytest.mark.parametrize(
+        "name,run", [c[1:] for c in SHARE_CELLS], ids=[c[0] for c in SHARE_CELLS]
+    )
+    def test_factory_runs_once_per_share(self, tmp_path, name, run):
+        # every cell has several tasks serially and at least 16 refined at
+        # two processes, so a factory per task would run more often
+        outcomes = []
+        for chunks in (1, 2):
+            log = tmp_path / f"factory-{chunks}.log"
+            log.touch()
+            with mock.patch.object(oracle, name, partial(counted_visitor, name, log)):
+                outcomes.append(run(OracleBudget(parallel_chunks=chunks)))
+            assert log.read_text().split() == [name] * chunks
+        # results and states
+        assert outcomes[0] == outcomes[1]
+
+    def test_serial_share_shares_its_bound(self):
+        # the uncertified BC network takes every root's tasks: run as one
+        # share, a bound lowered on one task gates the next
+        graph = BC4()
+        state = oracle._engine_state(
+            graph, 8, free=False, visitor=oracle._profile_visitor, bilateral=True
+        )
+        items = oracle._tasks(graph, state)
+        assert len(items) == 48
+        runs = []
+        for shares in ([items], [[item] for item in items]):
+            calls = [0]
+            with mock.patch.object(oracle, "_walker", counted_walker(oracle._walker, calls)):
+                parts = [oracle._grow_task(state, share, 10**6) for share in shares]
+            entries = [oracle._least(part[m] for part, _ in parts) for m in range(1, 9)]
+            runs.append((entries, sum(states for _, states in parts), calls[0]))
+        (entries, states, calls), (apart_entries, apart_states, apart_calls) = runs
+        assert entries == apart_entries
+        assert states == apart_states
+        assert calls < apart_calls
