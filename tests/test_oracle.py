@@ -1324,22 +1324,13 @@ def profile_cell(make, max_m, mode):
     return lambda budget: oracle._profile(make(), max_m, mode, budget)
 
 
-def conditional_cell(make, cond, params=None):
-    def run(budget):
-        r = brute_conditional(make(), cond, params=params, budget=budget)
-        return r.optimum, r.witness, r.atom_size, r.report, r.subsets_visited
-
-    return run
-
-
 BC4 = partial(bc_network, 4, "seeded_random", seed=7)
 SHARE_CELLS = [
     ("profile-bilateral-bc4", "_profile_visitor", profile_cell(BC4, 8, "bilateral")),
     ("profile-connected-k33", "_profile_visitor",
      profile_cell(partial(hamming_graph, HammingParams(3, 3)), 5, "connected")),
-    ("extra4-bc4", "_cut_visitor", conditional_cell(BC4, ConditionKind.extra(4))),
-    ("cyclic-q4", "_cut_visitor",
-     conditional_cell(partial(hamming_graph, HammingParams(2, 4)), ConditionKind.cyclic())),
+    ("cyclic-q4", "_cut_visitor", _conditional_cell(2, 4, ConditionKind.cyclic())),
+    ("super2-k32", "_cut_visitor", _conditional_cell(3, 2, ConditionKind.super_degree(2))),
     ("partition-extra2-bc4", "_partition_visitor", partition_cell(BC4, ConditionKind.extra(2))),
     ("partition-isoperimetric3-k42", "_partition_visitor",
      partition_cell(partial(hamming_graph, HammingParams(4, 2)),
