@@ -399,8 +399,7 @@ def prefix_cut_sweep(graph: Graph, max_size: int | None = None) -> list[SweepRow
     every size is settled and ``evaluate_cut`` never runs.
     """
     n = graph.vertex_count
-    if max_size is None:
-        max_size = n // 2
+    max_size = n // 2 if max_size is None else _integer(max_size, "max_size")
     if not 1 <= max_size <= n - 1:
         raise DomainError(f"max_size must be in [1, {n - 1}], got {max_size}")
     adjacency = graph.adjacency

@@ -176,6 +176,7 @@ class Graph:
 
 
 def _check_cap(n_vertices: int, max_vertices: int) -> None:
+    max_vertices = _integer(max_vertices, "max_vertices")
     if n_vertices > max_vertices:
         raise CapError(
             f"{n_vertices} vertices exceed the cap of {max_vertices}; "
@@ -278,6 +279,7 @@ def bc_network(
         raise DomainError(f"vertex count 2**{dim} exceeds the native 64-bit range")
     if matching_policy not in MATCHING_POLICIES:
         raise DomainError(f"unknown matching policy {matching_policy!r}")
+    seed = _integer(seed, "seed")
     _check_cap(2**dim, max_vertices)
     rng = random.Random(seed) if matching_policy == "seeded_random" else None
     patterns = []

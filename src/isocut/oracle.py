@@ -10,13 +10,15 @@ or idea with the formula side. Working notes on the engines:
   connectivity constraint) walks index-increasing combinations depth-first.
   That order IS lexicographic order of the sorted vertex tuples, so keeping
   the first optimum seen yields the canonical (lexicographically least)
-  witness for free. It stays beside the walker, which is about twice as
-  slow on arbitrary sets: the 536,155 sets of K_5^2 up to size 8 that
-  contain vertex 0 take about 0.2 s scanned and 0.4 s walked from a free
-  start with per-size minima (Python 3.11, one core). It takes the free
-  walker's tasks, whose subtrees there extend a node's set by vertices
-  above its largest, and returns the profile visitor's per-size entries,
-  so one reduction builds every profile.
+  witness for free. Only its inner loop differs from the walker's, and it
+  stays for that loop: on the pruned tasks of K_5^2 up to size 8 (176,680
+  sets) the walker from a free start with per-size minima takes 38-39 ms
+  against the scan's 30 ms, and on K_3^3 up to size 6 5.0 ms against
+  3.5 ms (serial medians, Python 3.11, one core). It takes the free
+  walker's tasks, whose ext there is every vertex above the set's largest,
+  takes each task's sets from its share's tally before it scans them, as
+  the walker takes a node's children, and returns the profile visitor's
+  per-size entries, so one reduction builds every profile.
 * One walker, rooted growth in the style of ESU (Wernicke 2006), does every
   other enumeration: each set is produced exactly once, grown from its
   least vertex, connected along the rows it is given or, from a "free"
@@ -36,12 +38,12 @@ or idea with the formula side. Working notes on the engines:
   parent grows it, and a child with nothing to grow, every child at the
   last level (size max_m) among them, is visited in the parent's loop,
   with no call of its own.
-  A task is (node, whole): a walker state and whether it takes the node's
-  whole subtree or the node's set alone. One rule, ``_split``, turns a
-  node into its set alone and one whole task per extension, each child
-  grown as the walker grows it; a node with no extension within max_m
-  stays one whole task. A root's tasks are ``_split`` of its node, so no
-  caller handles singletons and no task is empty.
+  A task is a walker state, and takes that state's subtree: the state
+  with ext = 0 is its set alone. One rule, ``_split``, turns a node into
+  its set alone and one task per extension, each child grown as the
+  walker grows it; a node with no extension within max_m stays one task.
+  A root's tasks are ``_split`` of its node, so no caller handles
+  singletons and no task is empty.
 * Witnesses stay bitmasks until they leave the oracle, and one rule,
   ``_lex_less``, orders them as sorted vertex tuples: with d the least
   vertex in a ^ b, the set holding d is the lesser one, unless the other
@@ -90,7 +92,7 @@ or idea with the formula side. Working notes on the engines:
   ``OracleBudget.parallel_chunks`` = W counts the processes, the caller
   included. A serial call (W = 1) runs its tasks in-process as one share.
   With W > 1 there are workers to share the work, so the tasks are first
-  refined one extension level at a time, each whole task by ``_split``,
+  refined one extension level at a time, each task by ``_split``,
   until there are at least 8W of them or a level splits none. The caller
   then runs the interleaved share items[0::W] itself while each of W - 1
   workers runs items[k::W], sent in one message. One visitor, and for
@@ -108,8 +110,9 @@ or idea with the formula side. Working notes on the engines:
   shares of it may still be running, and an exit hook terminates whatever
   workers are left.
 * ``OracleBudget.max_subsets`` caps the total state count of one
-  enumeration, every state walked whether or not its visitor sees it:
-  each share stops once it would walk past the cap, and the runner sums
+  enumeration, every state walked whether or not its visitor sees it, and
+  every set the scan takes: each share stops once it would walk past the
+  cap, the scan before it scans a task's sets, and the runner sums
   the shares' states as they finish, so the error is raised iff the total
   exceeds the cap, serial or parallel.
 """
@@ -159,25 +162,25 @@ class OracleBudget:
     including those the walker's bound gate keeps from the visitor: each
     share of the tasks stops once it alone walks past the cap, and
     SubsetBudgetError is raised iff the total exceeds it, serial or
-    parallel. max_vertices bounds |V| of any graph handed to the oracle.
-    parallel_chunks is the process count, the caller included: 1 runs
-    in-process; W > 1 keeps W - 1 worker processes and splits the tasks
-    into shares for the caller and each worker. Each field must be an int
-    (a bool is refused); DomainError otherwise.
+    parallel, in every mode. parallel_chunks is the process count, the
+    caller included: 1 runs in-process; W > 1 keeps W - 1 worker processes
+    and splits the tasks into shares for the caller and each worker. Each
+    field must be an int (a bool is refused); DomainError otherwise.
     """
 
     max_subsets: int = 200_000_000
-    max_vertices: int = 32
     parallel_chunks: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("max_subsets", "max_vertices", "parallel_chunks"):
+        for name in ("max_subsets", "parallel_chunks"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.max_subsets < 1 or self.max_vertices < 1 or self.parallel_chunks < 1:
+        if self.max_subsets < 1 or self.parallel_chunks < 1:
             raise DomainError("budget fields must be positive")
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+MAX_VERTICES = 32  # the largest graph the oracle takes
 
 
 @dataclass(frozen=True)
@@ -250,11 +253,11 @@ def _mask_connected(mask: int, masks: tuple[int, ...]) -> bool:
     return mask != 0 and _component(mask & -mask, mask, masks) == mask
 
 
-def _require_oracle_scale(graph: Graph, budget: OracleBudget) -> None:
-    if graph.vertex_count > budget.max_vertices:
+def _require_oracle_scale(graph: Graph) -> None:
+    if graph.vertex_count > MAX_VERTICES:
         raise BudgetError(
             f"graph has {graph.vertex_count} vertices, oracle cap is "
-            f"{budget.max_vertices}"
+            f"{MAX_VERTICES}"
         )
 
 
@@ -377,7 +380,7 @@ def _tasks(graph: Graph, state: dict, rooted: bool = False) -> list:
         task
         for root in range(roots)
         for task in _split(state, _root_node(masks, degrees, root, state["full"], free))
-        if task[0][0].bit_length() - 1 in keep
+        if task[0].bit_length() - 1 in keep
     ]
 
 
@@ -450,15 +453,19 @@ def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
     """The results of task, one per share of items, and their total states.
 
     budget.parallel_chunks counts the processes, the caller included: with
-    W of them, share k is the interleaved items[k::W]; the caller runs
-    share 0 while each of W - 1 kept workers runs one other share, sent in
-    one message, and a serial call runs every item as one share. Each share
-    is one call task(state, share, cap), capped at budget.max_subsets, and
-    the shares' totals are summed as they finish, so SubsetBudgetError is
+    W > 1 of them, the items are first refined to at least 8W tasks, as far
+    as their nodes split (the pruned scans are a few lopsided tasks, often
+    two), and share k is the interleaved items[k::W]; the caller runs share
+    0 while each of W - 1 kept workers runs one other share, sent in one
+    message. A serial call runs every item as one share. Each share is one
+    call task(state, share, cap), capped at budget.max_subsets, and the
+    shares' totals are summed as they finish, so SubsetBudgetError is
     raised iff the total exceeds the cap, serial or parallel.
     """
     cap = budget.max_subsets
     width = budget.parallel_chunks
+    if width > 1:
+        items = _refine(state, items, 8 * width)
     shares = [items[k::width] for k in range(max(1, min(width, len(items))))]
     parallel = len(shares) > 1
     visited = 0
@@ -486,19 +493,21 @@ def _run_tasks(task, state: dict, items: list, budget: OracleBudget):
 def _beta_task(state, items, cap):
     """The least (cut, mask, size) entry of each size 1..max_m, None where
     nothing was scanned, over the sets of the tasks in items (see _split),
-    and the number of those sets.
+    and the number of those sets; SubsetBudgetError once the share takes
+    more than cap sets.
 
-    A task's sets come in lexicographic order (its node's set, then depth
-    first those extending it above its largest vertex), and _tasks and
-    _refine emit tasks in that order of their sets, which a share keeps;
-    so the first optimum kept at each size, by strict <, is the least. The
-    caller checks the whole scan against the budget up front, so cap is
-    never reached here.
+    A task's sets come in lexicographic order (its set, then depth first
+    those extending it by vertices of ext, every vertex above its largest),
+    and _tasks and _refine emit tasks in that order of their sets, which a
+    share keeps; so the first optimum kept at each size, by strict <, is
+    the least. Like the walker, the share takes a task's sets from its
+    tally (see _take) before it scans any of them.
     """
     masks = state["masks"]
     degrees = state["degrees"]
     max_m = state["max_m"]
     n = len(masks)
+    tally = [cap]
     best_cut = [None] * (max_m + 1)
     best_mask = [None] * (max_m + 1)
 
@@ -516,36 +525,36 @@ def _beta_task(state, items, cap):
             if grow:
                 rec(v + 1, mask | bit, nsize, ncut)
 
-    for (mask, _, _, size, cut, _), whole in items:
+    for node in items:
+        _take(tally, _scan_states(state, node))
+        mask, ext, _, size, cut, _ = node
         if best_cut[size] is None or cut < best_cut[size]:
             best_cut[size] = cut
             best_mask[size] = mask
-        if whole and size < max_m:
+        if ext and size < max_m:
             rec(mask.bit_length(), mask, size, cut)
     entries = [
         None if cut is None else (cut, mask, size)
         for size, (cut, mask) in enumerate(zip(best_cut, best_mask))
     ]
-    return entries, sum(_scan_states(state, item) for item in items)
+    return entries, cap - tally[0]
 
 
-def _scan_states(state: dict, item: tuple) -> int:
-    """The sets of size 1..max_m that task `item` of the fixed-size scan
-    takes: the node's set alone, or with every set that extends it by
-    vertices above its largest."""
-    (mask, _, _, size, _, _), whole = item
-    above = len(state["masks"]) - mask.bit_length()
-    return sum(math.comb(above, k) for k in range(state["max_m"] - size + 1)) if whole else 1
+def _scan_states(state: dict, node: tuple) -> int:
+    """The sets of size 1..max_m that fixed-size scan task `node` takes: its
+    set, and every set that extends it by vertices of ext."""
+    _, ext, _, size, _, _ = node
+    return sum(math.comb(ext.bit_count(), k) for k in range(state["max_m"] - size + 1))
 
 
 # --- engine: rooted growth ----------------------------------------------------
 
-_OVER_BUDGET = "rooted growth exceeded the states left in the budget"
+_OVER_BUDGET = "enumeration exceeded the states left in the budget"
 
 
 def _take(tally: list, states: int) -> None:
     """Take states from tally[0]; SubsetBudgetError once it falls below zero,
-    so walkers sharing a tally share one cap."""
+    so the tasks and walkers of a share share one cap."""
     tally[0] -= states
     if tally[0] < 0:
         raise SubsetBudgetError(_OVER_BUDGET)
@@ -617,42 +626,38 @@ def _root_node(rows, degrees, root: int, pool: int, free: bool) -> tuple:
 
 
 def _split(state: dict, node: tuple) -> list:
-    """The tasks that together take node's subtree: (node, False), its set
-    alone, and (child, True) for each extension, grown as the walker grows
-    it; [(node, True)] where node has no extension within max_m. A task
-    (node, whole) takes node's whole subtree, or its set alone."""
+    """The tasks that together take node's subtree: its set alone, the node
+    with ext = 0, and each child, grown as the walker grows it; [node] where
+    node has no extension within max_m."""
     mask, ext, seen, size, cut, internal = node
     if not ext or size == state["max_m"]:
-        return [(node, True)]
+        return [node]
     masks = state["masks"]
     degrees = state["degrees"]
-    tasks = [(node, False)]
+    tasks = [(mask, 0, seen, size, cut, internal)]
     while ext:
         low = ext & -ext
         ext ^= low
         v = low.bit_length() - 1
         common = (masks[v] & mask).bit_count()
         fresh = masks[v] & ~seen
-        child = (
+        tasks.append((
             mask | low,
             ext | fresh,
             seen | fresh,
             size + 1,
             cut + degrees[v] - 2 * common,
             internal + common,
-        )
-        tasks.append((child, True))
+        ))
     return tasks
 
 
 def _refine(state: dict, items: list, target: int) -> list:
-    """The tasks split one extension level at a time, each whole task by
-    _split, until there are at least target tasks or a level splits none;
-    they take the same sets as items."""
+    """The tasks split one extension level at a time, each by _split, until
+    there are at least target tasks or a level splits none; they take the
+    same sets as items."""
     while len(items) < target:
-        finer = []
-        for node, whole in items:
-            finer += _split(state, node) if whole else [(node, whole)]
+        finer = [task for node in items for task in _split(state, node)]
         if len(finer) == len(items):
             break
         items = finer
@@ -669,31 +674,22 @@ def _engine_state(graph: Graph, max_m: int, **fields) -> dict:
     )
 
 
-def _run_engine(task, state: dict, items: list, budget: OracleBudget):
-    """The results of task, one per share of the items (see _run_tasks),
-    and the states visited. With more than one process the items are first
-    refined to at least eight tasks per process, as far as their nodes
-    split: the pruned scans are a few lopsided tasks, often two."""
-    if budget.parallel_chunks > 1:
-        items = _refine(state, items, 8 * budget.parallel_chunks)
-    return _run_tasks(task, state, items, budget)
-
-
 def _grow_task(state, items, cap):
-    """Grow the sets of the tasks in items (see _split), each the node's set
-    alone or every set of at most max_m vertices in its subtree, connected
-    along the state's masks or arbitrary when state['free'] is set. The
-    state's visitor factory, called once, returns (visit, bound, finish);
-    one walker passes visit each set within bound, task after task, so a
-    bound lowered on one task gates the next. Returns (finish(), states
-    walked); SubsetBudgetError once the share walks more than cap states.
+    """Grow the sets of the tasks in items (see _split), each task every set
+    of at most max_m vertices in its walker state's subtree (its set alone
+    when ext = 0), connected along the state's masks or arbitrary when
+    state['free'] is set. The state's visitor factory, called once, returns
+    (visit, bound, finish); one walker passes visit each set within bound,
+    task after task, so a bound lowered on one task gates the next. Returns
+    (finish(), states walked); SubsetBudgetError once the share walks more
+    than cap states.
     """
     tally = [cap]
     visit, bound, finish = state["visitor"](state, tally)
     grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, bound, tally)
-    for (mask, ext, *rest), whole in items:
+    for node in items:
         _take(tally, 1)  # the root
-        grow(mask, ext if whole else 0, *rest)  # an empty ext: the set alone
+        grow(*node)
     return finish(), cap - tally[0]
 
 
@@ -746,7 +742,7 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     vertex-transitive graph only sets containing vertex 0, pruned further
     by the stabiliser of 0, are visited.
     """
-    _require_oracle_scale(graph, budget)
+    _require_oracle_scale(graph)
     max_m = _check_m(graph, max_m)
     if mode not in ("any", "connected", "bilateral"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -754,15 +750,9 @@ def _profile(graph: Graph, max_m: int, mode: str, budget: OracleBudget):
     state = _engine_state(
         graph, max_m, free=free, visitor=_profile_visitor, bilateral=mode == "bilateral"
     )
-    tasks = _tasks(graph, state)
-    if free:
-        total = sum(_scan_states(state, item) for item in tasks)
-        if total > budget.max_subsets:
-            raise SubsetBudgetError(
-                f"{total} subsets of size <= {max_m} exceed max_subsets="
-                f"{budget.max_subsets}"
-            )
-    results, visited = _run_engine(_beta_task if free else _grow_task, state, tasks, budget)
+    results, visited = _run_tasks(
+        _beta_task if free else _grow_task, state, _tasks(graph, state), budget
+    )
     return [_least(part[m] for part in results) for m in range(1, max_m + 1)], visited
 
 
@@ -965,7 +955,7 @@ def brute_conditional(
             f"{cond.describe()} needs both sides >= {cond.value}, impossible on "
             f"{n} vertices"
         )
-    _require_oracle_scale(graph, budget)
+    _require_oracle_scale(graph)
 
     if cond.kind == "isoperimetric":
         entries, visited = _profile(graph, half, "any", budget)
@@ -975,7 +965,7 @@ def brute_conditional(
             graph, half, free=False, visitor=_cut_visitor,
             pred=_side_predicate(cond, params, graph), edges=graph.edge_count,
         )
-        results, visited = _run_engine(_grow_task, state, _tasks(graph, state), budget)
+        results, visited = _run_tasks(_grow_task, state, _tasks(graph, state), budget)
         best = _least(results)
         if best is None:
             raise InfeasibleError(
@@ -1056,7 +1046,7 @@ def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget
         graph, graph.vertex_count,
         free=free, visitor=_partition_visitor, pred=part_ok, cut_budget=cut_budget,
     )
-    results, _ = _run_engine(_grow_task, state, _tasks(graph, state, rooted=True), budget)
+    results, _ = _run_tasks(_grow_task, state, _tasks(graph, state, rooted=True), budget)
     cuts = [cut for cut, _ in results if cut is not None]
     if not cuts:
         return None, set()

@@ -499,6 +499,11 @@ class TestPrefixSweep:
         rows = prefix_cut_sweep(q4, max_size=3)
         assert [r.size for r in rows] == [1, 2, 3]
 
+    @pytest.mark.parametrize("max_size", [2.5, "3", True])
+    def test_rejects_non_integer_max_size(self, q4, max_size):
+        with pytest.raises(DomainError):
+            prefix_cut_sweep(q4, max_size)
+
     def test_clique_row_values(self):
         g = hamming_graph(HammingParams(7, 1))
         rows = prefix_cut_sweep(g)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,6 +211,12 @@ class TestHammingGraph:
         with pytest.raises(CapError):
             hamming_graph(HammingParams(10, 4), max_vertices=1000)
 
+    @pytest.mark.parametrize("cap", [None, "3", 2.5, True])
+    def test_rejects_non_integer_cap(self, cap):
+        for build in (partial(hamming_graph, HammingParams(2, 3)), partial(bc_network, 3)):
+            with pytest.raises(DomainError):
+                build(max_vertices=cap)
+
     def test_equals_digit_loop_reference(self):
         for arity, dim in BUILDER_GRID:
             p = HammingParams(arity, dim)
@@ -277,6 +284,12 @@ class TestBCNetwork:
     def test_rejects_non_integer_dim(self, dim):
         with pytest.raises(DomainError):
             bc_network(dim)
+
+    @pytest.mark.parametrize("seed", [None, 2.5, "3", True])
+    def test_rejects_non_integer_seed(self, seed):
+        # seed=None would draw from the OS: one label, different graphs
+        with pytest.raises(DomainError):
+            bc_network(4, "seeded_random", seed=seed)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(DomainError):

@@ -244,7 +244,7 @@ class TestWrapperFunctions:
     @pytest.mark.parametrize(
         "field,value",
         [("max_subsets", 100.5), ("parallel_chunks", True), ("parallel_chunks", 1.5),
-         ("max_vertices", "32")],
+         ("max_subsets", "32")],
     )
     def test_budget_fields_must_be_integers(self, field, value):
         with pytest.raises(DomainError):
@@ -380,7 +380,7 @@ class TestBudgets:
     def test_vertex_cap(self):
         graph = hamming_graph(HammingParams(2, 6))
         with pytest.raises(BudgetError):
-            brute_min_boundary(graph, 2, budget=OracleBudget(max_vertices=32))
+            brute_min_boundary(graph, 2)
 
     def test_subset_precheck(self):
         graph = hamming_graph(HammingParams(2, 3))
@@ -435,6 +435,27 @@ class TestBudgets:
     def test_cap_at_exact_state_count_not_transitive(self, chunks):
         # every connected set of size <= 8: the certificate rejects this graph
         assert_cap_is_exact(bc_network(4, "seeded_random", seed=7), 15910, chunks)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_over_budget_scan_stops_before_it_scans(self, chunks):
+        # K_2^5 up to size 16 is about 2**29 sets: the caller's share takes
+        # its first large task's sets from its tally, and fails, before its
+        # scan recurses once
+        graph = hamming_graph(HammingParams(2, 5))
+        budget = OracleBudget(max_subsets=10**6, parallel_chunks=chunks)
+
+        def tripwire(frame, event, arg):
+            code = frame.f_code
+            if code.co_name == "rec" and code.co_filename == oracle.__file__:
+                raise AssertionError("the over-budget scan started")
+
+        previous = sys.gettrace()
+        sys.settrace(tripwire)
+        try:
+            with pytest.raises(SubsetBudgetError):
+                brute_min_boundary(graph, 16, budget)
+        finally:
+            sys.settrace(previous)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_pruned_scan_cap_is_exact(self, chunks):
@@ -840,8 +861,8 @@ class TestCertificate:
         assert oracle._orbit_minima(graph) == weight_minima(2, 4)
         assert graph.adjacency[0][0] == 7
         state = oracle._engine_state(graph, 4, free=False)
-        tasks = [(node[0], whole) for node, whole in oracle._tasks(graph, state)]
-        assert tasks == [(1, False)] + [(1 | 1 << w, True) for w in graph.adjacency[0]]
+        tasks = [(mask, ext == 0) for mask, ext, *_ in oracle._tasks(graph, state)]
+        assert tasks == [(1, True)] + [(1 | 1 << w, False) for w in graph.adjacency[0]]
         assert brute_min_boundary_connected(graph, 4).witness == (0, 3, 13, 14)
 
     def test_translations_without_stabiliser(self, monkeypatch, certificates_cleared):
@@ -1196,21 +1217,30 @@ class TestTaskSplit:
 
     def test_only_parallel_calls_split(self):
         graph = hamming_graph(HammingParams(5, 2))
+        refine, refined = oracle._refine, []
+
+        def recorded(state, items, target):
+            refined.append(refine(state, items, target))
+            return refined[-1]
+
         items = []
-        for chunks in (1, 2):
-            budget = OracleBudget(parallel_chunks=chunks)
-            _, ((_, _, tasks, _),) = refined_run(
-                partial(oracle._profile, graph, 8, "connected", budget)
-            )
-            items.append(tasks)
-        # {0} alone and the whole subtree of {0, 1}
-        assert [(node[0], whole) for node, whole in items[0]] == [(1, False), (3, True)]
-        assert len(items[1]) >= SPLIT_TARGET
+        with mock.patch.object(oracle, "_refine", recorded):
+            for chunks in (1, 2):
+                budget = OracleBudget(parallel_chunks=chunks)
+                _, ((_, _, tasks, _),) = refined_run(
+                    partial(oracle._profile, graph, 8, "connected", budget)
+                )
+                items.append(tasks)
+        # {0} alone (ext = 0) and the subtree of {0, 1}, split only when
+        # there are two processes
+        assert items[0] == items[1]
+        assert [(mask, ext == 0) for mask, ext, *_ in items[0]] == [(1, True), (3, False)]
+        assert len(refined) == 1 and len(refined[0]) >= SPLIT_TARGET
 
     def test_paths_past_the_size_cap_stay_whole(self):
-        # with max_m = 1 each task is one root's set, whole; none is empty
-        # and none splits: {0} alone on the certified K_2^3, every root on
-        # the uncertified BC network
+        # with max_m = 1 each task is one root's node; none is empty and
+        # none splits: {0} alone on the certified K_2^3, every root on the
+        # uncertified BC network
         for graph, roots in (
             (hamming_graph(HammingParams(2, 3)), 1),
             (bc_network(3, "seeded_random", seed=7), 8),
@@ -1218,8 +1248,8 @@ class TestTaskSplit:
             for free in (True, False):
                 state = oracle._engine_state(graph, 1, free=free)
                 items = oracle._tasks(graph, state)
-                assert [(node[0], node[3], whole) for node, whole in items] == [
-                    (1 << root, 1, True) for root in range(roots)
+                assert [(node[0], node[3]) for node in items] == [
+                    (1 << root, 1) for root in range(roots)
                 ]
                 assert oracle._refine(state, items, SPLIT_TARGET) == items
                 if free:
@@ -1246,14 +1276,14 @@ class TestTaskSplit:
 def scanned_sets(state, item):
     """The sets of a fixed-size scan task, as sorted vertex tuples, in the
     order the task takes them: the node's set, then depth first every set
-    that extends it by vertices above its largest."""
-    (mask, _, _, size, _, _), whole = item
+    that extends it by vertices above its largest, none when ext = 0."""
+    mask, ext, *_ = item
     n, max_m = len(state["masks"]), state["max_m"]
     out = []
 
     def rec(prefix):
         out.append(prefix)
-        if whole and len(prefix) < max_m:
+        if ext and len(prefix) < max_m:
             for v in range(prefix[-1] + 1, n):
                 rec(prefix + (v,))
 
