@@ -33,15 +33,19 @@ or idea with the formula side. Working notes on the engines:
   predicates) behind it. Each visitor keeps its own full test, so the gate
   only skips states the visitor would reject: on K_5^2 the connected and
   the bilateral profile up to size 8 each walk 87,798 states and visit
-  234, and the two-part scans of the 52 feasible conditions on K_4^2 and
-  K_2^4 walk 1,126,906 and visit 26,841. A state is counted when its
-  parent grows it, and a child with nothing to grow, every child at the
-  last level (size max_m) among them, is visited in the parent's loop,
-  with no call of its own.
+  234. A state is counted when its parent grows it, and a child with
+  nothing to grow, every child at the last level (size max_m) among them,
+  is visited in the parent's loop, with no call of its own.
+  A walk given a limit, a cut no wanted state exceeds, also prunes every
+  subtree whose closed-edge bound (``_closed_cut``, read from the graph
+  alone) exceeds it. Only the partition visitor has one, fixed before its
+  walk: the other visitors learn their bounds as a share goes, so a prune
+  by them would make the state counts depend on the shares.
   A task is a walker state, and takes that state's subtree: the state
   with ext = 0 is its set alone. One rule, ``_split``, turns a node into
-  its set alone and one task per extension, each child grown as the
-  walker grows it; a node with no extension within max_m stays one task.
+  its set alone and one task per extension, each child grown, and under
+  a limit pruned, as the walker grows it; a node with no extension within
+  max_m stays one task.
   A root's tasks are ``_split`` of its node, so no caller handles
   singletons and no task is empty.
 * Witnesses stay bitmasks until they leave the oracle, and one rule,
@@ -59,7 +63,10 @@ or idea with the formula side. Working notes on the engines:
   visitor prunes by a cut budget at every part, its bound at every size
   the budget less the cut of the parts already peeled, and starts the next
   peel; it runs the first part through the task runner like the other
-  visitors, and nested peels draw on the same share's state tally.
+  visitors, and nested peels draw on the same share's state tally. That
+  bound is each walk's limit too: the scans of the 58 feasible conditions
+  on K_4^2 and K_2^4, at the bipartition optimum, walk 260,180 states
+  (1,252,865 without the prune) and visit 30,667.
 * On a graph that ``_orbit_minima`` certifies vertex-transitive, every
   engine visits only sets that contain vertex 0, pruned further by one
   task rule, ``_tasks``. Every condition here is invariant under
@@ -560,8 +567,17 @@ def _take(tally: list, states: int) -> None:
         raise SubsetBudgetError(_OVER_BUDGET)
 
 
-def _walker(rows, degrees, max_m, visit, bound, tally):
-    """grow(mask, ext, seen, size, cut, internal): ESU-style rooted growth.
+def _closed_cut(rows, node: tuple) -> int:
+    """The closed-edge bound of a walker state: the edges from its set to its
+    closed vertices, those in seen but in neither the set nor ext. No state
+    in its subtree adds a closed vertex, so none has a smaller cut."""
+    mask, ext, seen = node[:3]
+    closed = seen & ~mask & ~ext
+    return sum((rows[v] & closed).bit_count() for v in _bits_tuple(mask))
+
+
+def _walker(rows, degrees, max_m, visit, bound, tally, limit=None):
+    """grow(mask, ext, seen, size, cut, internal, lb=0): ESU rooted growth.
 
     Visits the state if cut <= bound[size], then, while size < max_m, grows
     it by each vertex of ext in ascending order; the vertex added makes its
@@ -574,9 +590,13 @@ def _walker(rows, degrees, max_m, visit, bound, tally):
     of them, and the caller takes one for the root. A child with nothing
     to grow is visited in the parent's loop, with no call of its own; so
     is every child at size max_m, for which no ext or seen is computed.
+    With a limit, the walk carries lb, the state's ``_closed_cut``, and a
+    child whose lb exceeds limit keeps its set but gets ext = 0: it is
+    counted and gated like a leaf, and no state in its subtree is walked.
     """
+    pruning = limit is not None
 
-    def grow(mask, ext, seen, size, cut, internal):
+    def grow(mask, ext, seen, size, cut, internal, lb=0):
         if cut <= bound[size]:
             visit(mask, size, cut, internal)
         if size == max_m or not ext:
@@ -595,6 +615,9 @@ def _walker(rows, degrees, max_m, visit, bound, tally):
                 if child_cut <= bound[size]:
                     visit(mask | low, size, child_cut, internal + common)
             return
+        if pruning:
+            closed = seen & ~mask & ~ext
+        child_lb = lb
         while ext:
             low = ext & -ext
             ext ^= low
@@ -603,8 +626,15 @@ def _walker(rows, degrees, max_m, visit, bound, tally):
             common = (row & mask).bit_count()
             child_cut = cut + degrees[v] - 2 * common
             fresh = row & ~seen
-            if ext | fresh:
-                grow(mask | low, ext | fresh, seen | fresh, size, child_cut, internal + common)
+            grown = ext | fresh
+            if pruning:
+                child_lb = lb + (row & closed).bit_count()
+                lb += common
+                closed |= low
+                if child_lb > limit:
+                    grown = 0
+            if grown:
+                grow(mask | low, grown, seen | fresh, size, child_cut, internal + common, child_lb)
             elif child_cut <= bound[size]:
                 visit(mask | low, size, child_cut, internal + common)
 
@@ -627,13 +657,15 @@ def _root_node(rows, degrees, root: int, pool: int, free: bool) -> tuple:
 
 def _split(state: dict, node: tuple) -> list:
     """The tasks that together take node's subtree: its set alone, the node
-    with ext = 0, and each child, grown as the walker grows it; [node] where
-    node has no extension within max_m."""
+    with ext = 0, and each child, grown as the walker grows it, with ext = 0
+    where its closed-edge bound exceeds state['limit']; [node] where node has
+    no extension within max_m."""
     mask, ext, seen, size, cut, internal = node
     if not ext or size == state["max_m"]:
         return [node]
     masks = state["masks"]
     degrees = state["degrees"]
+    limit = state["limit"]
     tasks = [(mask, 0, seen, size, cut, internal)]
     while ext:
         low = ext & -ext
@@ -641,14 +673,11 @@ def _split(state: dict, node: tuple) -> list:
         v = low.bit_length() - 1
         common = (masks[v] & mask).bit_count()
         fresh = masks[v] & ~seen
-        tasks.append((
-            mask | low,
-            ext | fresh,
-            seen | fresh,
-            size + 1,
-            cut + degrees[v] - 2 * common,
-            internal + common,
-        ))
+        child = (mask | low, ext | fresh, seen | fresh, size + 1,
+                 cut + degrees[v] - 2 * common, internal + common)
+        if limit is not None and _closed_cut(masks, child) > limit:
+            child = (child[0], 0, *child[2:])
+        tasks.append(child)
     return tasks
 
 
@@ -664,9 +693,10 @@ def _refine(state: dict, items: list, target: int) -> list:
     return items
 
 
-def _engine_state(graph: Graph, max_m: int, **fields) -> dict:
+def _engine_state(graph: Graph, max_m: int, limit: int | None = None, **fields) -> dict:
     return dict(
         fields,
+        limit=limit,
         masks=graph.neighbor_masks,
         degrees=tuple(graph.degree(v) for v in range(graph.vertex_count)),
         max_m=max_m,
@@ -684,12 +714,13 @@ def _grow_task(state, items, cap):
     (finish(), states walked); SubsetBudgetError once the share walks more
     than cap states.
     """
+    masks, limit = state["masks"], state["limit"]
     tally = [cap]
     visit, bound, finish = state["visitor"](state, tally)
-    grow = _walker(state["masks"], state["degrees"], state["max_m"], visit, bound, tally)
+    grow = _walker(masks, state["degrees"], state["max_m"], visit, bound, tally, limit)
     for node in items:
         _take(tally, 1)  # the root
-        grow(*node)
+        grow(*node, 0 if limit is None else _closed_cut(masks, node))
     return finish(), cap - tally[0]
 
 
@@ -989,16 +1020,17 @@ def brute_extra_connectivity(
 
 def _partition_visitor(state: dict, tally):
     """(min_cut, part_counts_at_min) over the partitions into >= 2
-    qualifying parts with cut <= state['cut_budget'] whose first part is a
-    visited set; min_cut is None when nothing fit the budget.
+    qualifying parts with cut <= state['limit'], the cut budget, whose first
+    part is a visited set; min_cut is None when nothing fit the budget.
 
     Each visited part is peeled off, and the next part is grown from the
     least vertex left, inside what is left, by a walker on the same tally.
-    Each peel has its own bound list, cut_budget - acc_cut at every size.
+    Each peel's walker has cut_budget - acc_cut as its limit and its bound
+    at every size.
     """
     masks = state["masks"]
     part_ok = state["pred"]
-    cut_budget = state["cut_budget"]
+    cut_budget = state["limit"]
     free = state["free"]
     best = None
     zs: set[int] = set()
@@ -1026,7 +1058,8 @@ def _partition_visitor(state: dict, tally):
         degrees = tuple(map(int.bit_count, rows))
         root = (pool & -pool).bit_length() - 1
         _take(tally, 1)  # the root
-        grow = _walker(rows, degrees, pool.bit_count(), *parts_of(pool, acc_cut, parts), tally)
+        visit, bound = parts_of(pool, acc_cut, parts)
+        grow = _walker(rows, degrees, pool.bit_count(), visit, bound, tally, cut_budget - acc_cut)
         grow(*_root_node(rows, degrees, root, pool, free))
 
     return *parts_of(state["full"], 0, 0), lambda: (best, zs)
@@ -1044,7 +1077,7 @@ def _partition_minima(graph: Graph, part_ok, cut_budget: int, free: bool, budget
     """
     state = _engine_state(
         graph, graph.vertex_count,
-        free=free, visitor=_partition_visitor, pred=part_ok, cut_budget=cut_budget,
+        free=free, visitor=_partition_visitor, pred=part_ok, limit=cut_budget,
     )
     results, _ = _run_tasks(_grow_task, state, _tasks(graph, state, rooted=True), budget)
     cuts = [cut for cut, _ in results if cut is not None]

@@ -69,13 +69,14 @@ def pocket_graph():
     return graph_from_edges(15, edges, "pocket")
 
 
-def ungated_walker(rows, degrees, max_m, visit, bound, tally):
-    """The oracle's walker without its bound gate: a drop-in for
-    ``oracle._walker`` that ignores bound, visits every state it grows and
-    grows the last level by recursion. Each state it grows takes one from
-    tally[0]; the caller takes one for the root, as with the oracle's."""
+def ungated_walker(rows, degrees, max_m, visit, bound, tally, limit=None):
+    """The oracle's walker without its bound gate or its prune: a drop-in
+    for ``oracle._walker`` that ignores bound, limit and lb, visits every
+    state it grows and grows the last level by recursion. Each state it
+    grows takes one from tally[0]; the caller takes one for the root, as
+    with the oracle's."""
 
-    def grow(mask, ext, seen, size, cut, internal):
+    def grow(mask, ext, seen, size, cut, internal, lb=0):
         visit(mask, size, cut, internal)
         if size == max_m:
             return
